@@ -385,18 +385,14 @@ void BM_MediumDenseDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumDenseDeliver)->Arg(64)->Arg(256)->Arg(1024);
 
-void roam_churn(benchmark::State& state, bool grid) {
+void BM_MediumRoamChurn(benchmark::State& state) {
   // Metro mobility profile: a city-sized co-channel population where every
   // step moves one radio and then another one transmits, so each delivery
-  // pays whatever plan invalidation the move caused. Flat mode invalidates
-  // the whole world per move and walks all N radios per delivery; the
-  // spatial grid localizes both to the 3x3 neighborhood. perf_gate.py
-  // asserts the flat/grid cpu_time ratio at 4096 from the same run, which
-  // is machine-independent.
+  // pays whatever plan invalidation the move caused — which the grid keeps
+  // to the 3x3 neighborhood of the mover's cell.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim(13);
   phy::MediumConfig cfg;
-  cfg.spatial_grid = grid;
   cfg.pair_rssi_cache = false;  // the metro medium profile
   phy::Medium medium(sim, cfg);
   const std::size_t side =
@@ -431,25 +427,16 @@ void roam_churn(benchmark::State& state, bool grid) {
   }
   state.SetItemsProcessed(state.iterations() * kSteps);
 }
-void BM_MediumRoamChurnFlat(benchmark::State& state) {
-  roam_churn(state, false);
-}
-void BM_MediumRoamChurnGrid(benchmark::State& state) {
-  roam_churn(state, true);
-}
-BENCHMARK(BM_MediumRoamChurnFlat)->Arg(4096)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MediumRoamChurnGrid)->Arg(4096)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MediumRoamChurn)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_MetroDeliver(benchmark::State& state) {
-  // Steady-state metro delivery throughput on the spatial grid: N radios
-  // on a street-scale lattice cycling the {1, 6, 11} channel plan, senders
-  // striding through the population. Measures the per-transmission cost of
-  // the 3x3 gather + plan revalidation at population sizes where the flat
-  // path's O(N) walk stops being runnable at all (65536 radios).
+  // Steady-state metro delivery throughput: N radios on a street-scale
+  // lattice cycling the {1, 6, 11} channel plan, senders striding through
+  // the population. Measures the per-transmission cost of the 3x3 gather +
+  // plan revalidation up to city-sized populations (65536 radios).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   sim::Simulator sim(15);
   phy::MediumConfig cfg;
-  cfg.spatial_grid = true;
   cfg.pair_rssi_cache = false;
   phy::Medium medium(sim, cfg);
   const std::size_t side =

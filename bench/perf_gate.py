@@ -32,16 +32,6 @@ import sys
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# Same-run speedup invariants: (slow_name, fast_name, min_ratio). Both
-# measurements come from the run under test, so machine speed cancels
-# exactly — no normalization needed. These encode structural claims (the
-# spatial grid's localized delivery must beat the flat O(N) walk by a wide
-# margin at metro scale), and gate only when both benchmarks are present
-# and healthy in the current run.
-RATIO_CHECKS = [
-    ("BM_MediumRoamChurnFlat/4096", "BM_MediumRoamChurnGrid/4096", 10.0),
-]
-
 # Per-benchmark thresholds stricter than --threshold. BM_TraceDisabled is
 # the disabled-tracer overhead contract (EXP-O2): instrumentation on every
 # datapath must stay within 3% when tracing is off, so a regression there
@@ -134,27 +124,6 @@ def main():
         print(f"note: '{name}' is new (not in baseline); not gated")
     for name in sorted(cur_skipped | base_skipped):
         print(f"note: '{name}' skipped or errored; not gated")
-
-    ratio_failures = []
-    for slow, fast, minimum in RATIO_CHECKS:
-        if slow not in cur or fast not in cur:
-            print(f"note: ratio check {slow} / {fast} skipped "
-                  "(benchmark missing from current run)")
-            continue
-        speedup = cur[slow] / cur[fast]
-        verdict = "OK" if speedup >= minimum else "FAIL"
-        print(f"ratio: {slow} / {fast} = {speedup:.1f}x "
-              f"(required >= {minimum:.0f}x) {verdict}")
-        if speedup < minimum:
-            ratio_failures.append((slow, fast, speedup, minimum))
-
-    if ratio_failures:
-        print(f"\nperf_gate: FAIL — {len(ratio_failures)} same-run speedup "
-              "invariant(s) violated:", file=sys.stderr)
-        for slow, fast, speedup, minimum in ratio_failures:
-            print(f"  {slow} only {speedup:.1f}x slower than {fast}; "
-                  f"required >= {minimum:.0f}x", file=sys.stderr)
-        return 1
 
     if regressions:
         print(f"\nperf_gate: FAIL — {len(regressions)} benchmark(s) regressed "

@@ -1,8 +1,6 @@
-// EXP-C5 scaling driver: one metro replica per (population, geometry)
-// cell, reporting wall-clock, simulated event throughput, and the roaming
-// metrics. This is the tool that produced the scaling table in
-// EXPERIMENTS.md — the flat medium is only run at sizes where its O(N)
-// delivery walk still finishes in reasonable time.
+// EXP-C5 scaling driver: one metro replica per population size, reporting
+// wall-clock, simulated event throughput, and the roaming metrics. This is
+// the tool that produced the scaling table in EXPERIMENTS.md.
 //
 //   metro_scale [--full]
 //
@@ -25,7 +23,6 @@ struct Point {
   std::size_t ap_cols;
   std::size_t ap_rows;
   std::size_t stas;
-  bool grid;
 };
 
 void run_point(const Point& pt) {
@@ -35,7 +32,6 @@ void run_point(const Point& pt) {
   cfg.sta_count = pt.stas;
   cfg.rogue_count = 4;
   cfg.episode_duration = 10 * sim::kSecond;
-  cfg.spatial_grid = pt.grid;
 
   scenario::MetroWorld world(cfg);
   world.configure(1);
@@ -47,9 +43,9 @@ void run_point(const Point& pt) {
 
   const auto m = world.collect_metrics();
   std::printf(
-      "%-5s aps=%-4zu stas=%-6zu wall=%9.1fms events/s=%10.0f "
+      "aps=%-4zu stas=%-6zu wall=%9.1fms events/s=%10.0f "
       "assoc=%.3f roam_p50=%.2fs promiscuous=%.3f\n",
-      pt.grid ? "grid" : "flat", pt.ap_cols * pt.ap_rows, pt.stas, wall_ms,
+      pt.ap_cols * pt.ap_rows, pt.stas, wall_ms,
       static_cast<double>(m.events_fired) / (wall_ms / 1000.0),
       m.metro_assoc_fraction, m.metro_roam_p50_s, m.metro_promiscuous_rate);
   std::fflush(stdout);
@@ -61,14 +57,14 @@ int main(int argc, char** argv) {
   const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
 
   std::vector<Point> ladder = {
-      {6, 4, 512, false},   {6, 4, 512, true},    // neighborhood
-      {6, 4, 2048, false},  {6, 4, 2048, true},
-      {10, 8, 8192, false}, {10, 8, 8192, true},  // district
+      {6, 4, 512},  // neighborhood
+      {6, 4, 2048},
+      {10, 8, 8192},  // district
   };
   if (full) {
-    ladder.push_back({15, 14, 20'000, true});     // city (grid only: the
-    ladder.push_back({15, 14, 50'000, true});     // flat walk is O(N) per
-  }                                               // delivery at this size)
+    ladder.push_back({15, 14, 20'000});  // city
+    ladder.push_back({15, 14, 50'000});
+  }
 
   for (const Point& pt : ladder) run_point(pt);
   return 0;

@@ -34,18 +34,38 @@ void Radio::trim_tx_state() {
   pair_cache_ = util::FlatU64Map<RssiCacheEntry>{};
 }
 
+// Every setter below routes through the medium so the cell-local
+// invalidation fires: the radio appears, disappears or changes as a
+// receiver only for the plans whose neighborhoods hold its cell.
 void Radio::set_channel(Channel ch) {
   if (ch == channel_) return;
-  medium_.move_channel(this, channel_, ch);
   channel_ = ch;
+  medium_.radio_retuned(*this);
+}
+
+void Radio::set_position(Position p) {
+  position_ = p;
+  ++geom_epoch_;
+  medium_.radio_moved(*this);
+}
+
+void Radio::set_tx_power_dbm(double p) {
+  tx_power_dbm_ = p;
+  ++geom_epoch_;
+  medium_.radio_retuned(*this);
+}
+
+void Radio::set_sensitivity_dbm(double s) {
+  sensitivity_dbm_ = s;
+  medium_.radio_retuned(*this);
 }
 
 void Radio::transmit(util::Bytes frame) {
-  queue_.push_back(std::move(frame));
   // Frames queue synchronously inside delivery handlers but hit the air
   // from CSMA timers; stamp the chain now so the response still inherits
   // the inbound frame's causal context when it finally transmits.
-  queue_chain_.push_back(medium_.simulator().tracer().current());
+  queue_.push_back(
+      QueuedFrame{std::move(frame), medium_.simulator().tracer().current()});
   if (!attempt_pending_) {
     attempt_pending_ = true;
     backoff_attempts_ = 0;
@@ -54,7 +74,7 @@ void Radio::transmit(util::Bytes frame) {
 }
 
 void Radio::attempt_transmit() {
-  if (queue_.empty()) {
+  if (queue_head_ == queue_.size()) {
     attempt_pending_ = false;
     return;
   }
@@ -89,26 +109,22 @@ void Radio::attempt_transmit() {
   }
   contended_ = false;
 
-  util::Bytes frame = std::move(queue_.front());
-  queue_.erase(queue_.begin());
-  const std::uint64_t chain = queue_chain_.front();
-  queue_chain_.erase(queue_chain_.begin());
+  QueuedFrame next = std::move(queue_[queue_head_++]);
+  if (queue_head_ == queue_.size()) {
+    queue_.clear();
+    queue_head_ = 0;
+  }
   backoff_attempts_ = 0;
-  own_busy_until_ = now + medium_.airtime(frame.size()) + 10;  // +SIFS
+  own_busy_until_ = now + medium_.airtime(next.frame.size()) + 10;  // +SIFS
   ++frames_sent_;
-  const obs::Tracer::IdScope causal(sim.tracer(), chain);
-  medium_.transmit(*this, std::move(frame));
+  const obs::Tracer::IdScope causal(sim.tracer(), next.chain);
+  medium_.transmit(*this, std::move(next.frame));
   attempt_timer_ = sim.at(own_busy_until_, [this] { attempt_transmit(); });
 }
 
 Medium::Medium(sim::Simulator& simulator, MediumConfig config)
     : sim_(simulator), config_(config) {
-  if (config_.spatial_grid) {
-    grid_power_ceiling_ = config_.grid_tx_power_ceiling_dbm;
-    grid_sens_floor_ = config_.grid_sensitivity_floor_dbm;
-    cell_size_m_ = std::max(
-        config_.grid_cell_m, audible_range(grid_power_ceiling_, grid_sens_floor_));
-  }
+  cell_size_m_ = audible_range(grid_power_ceiling_, grid_sens_floor_);
   obs::StatsRegistry& stats = sim_.stats();
   stat_tx_ = stats.counter("phy.tx_frames");
   stat_collisions_ = stats.counter("phy.collisions");
@@ -166,29 +182,16 @@ sim::Time Medium::airtime(std::size_t bytes) const {
   return config_.preamble_us + static_cast<sim::Time>(data_us);
 }
 
-sim::Time Medium::channel_busy_until(Channel channel) const {
-  const sim::Time now = sim_.now();
-  sim::Time busy = 0;
-  for (const auto& tx : active_) {
-    if (tx.channel != channel || tx.end_time <= now) continue;
-    // Blind window: very recent starts are not yet sensed.
-    if (tx.start_time + config_.sense_latency_us > now) continue;
-    busy = std::max(busy, tx.end_time);
-  }
-  return busy;
-}
-
 sim::Time Medium::channel_busy_for(const Radio& listener) const {
-  if (!grid_enabled()) return channel_busy_until(listener.channel_);
-  // Grid mode: carrier sense is as local as reception — only transmitters
-  // in the listener's 3x3 neighborhood are audible energy. A one-cell
-  // world degenerates to exactly the flat behavior.
   const sim::Time now = sim_.now();
   const Cell& home = cells_[listener.cell_];
   sim::Time busy = 0;
   for (const auto& tx : active_) {
     if (tx.channel != listener.channel_ || tx.end_time <= now) continue;
+    // Blind window: very recent starts are not yet sensed.
     if (tx.start_time + config_.sense_latency_us > now) continue;
+    // Carrier sense is as local as reception: only transmitters in the
+    // listener's 3x3 neighborhood are audible energy.
     if (cell_chebyshev(tx.cx, tx.cy, home.cx, home.cy) > 1) continue;
     busy = std::max(busy, tx.end_time);
   }
@@ -207,28 +210,11 @@ double Medium::audible_range(double tx_power_dbm, double sensitivity_dbm) const 
   // sensitivity minus the most favourable +rssi_noise_db fade. The small
   // absolute slack absorbs the round trip through pow/log10 so a receiver
   // parked exactly on the audibility boundary never falls outside the
-  // neighborhood a flat medium would have reached.
+  // sender's neighborhood.
   const double budget = tx_power_dbm - (sensitivity_dbm - config_.rssi_noise_db) -
                         config_.ref_loss_dbm;
   const double d = std::pow(10.0, budget / (10.0 * config_.path_loss_exponent));
   return std::max(d, 1.0) + 1e-6;
-}
-
-// ---- Flat-mode channel index ------------------------------------------------
-
-std::vector<Radio*>& Medium::channel_list(Channel ch) {
-  for (ChannelList& cl : channels_) {
-    if (cl.channel == ch) return cl.radios;
-  }
-  channels_.push_back(ChannelList{ch, {}});
-  return channels_.back().radios;
-}
-
-const std::vector<Radio*>* Medium::find_channel_list(Channel ch) const {
-  for (const ChannelList& cl : channels_) {
-    if (cl.channel == ch) return &cl.radios;
-  }
-  return nullptr;
 }
 
 // ---- Grid internals ---------------------------------------------------------
@@ -244,7 +230,6 @@ std::uint64_t Medium::cell_key(std::int32_t cx, std::int32_t cy) {
 }
 
 std::pair<std::int32_t, std::int32_t> Medium::grid_coords(const Position& p) const {
-  ROGUE_ASSERT_MSG(cell_size_m_ > 0.0, "grid_coords() needs spatial_grid on");
   constexpr double kLimit = 1073741824.0;  // 2^30: keeps cell_key() nonzero
   const double fx = std::clamp(std::floor(p.x / cell_size_m_), -kLimit, kLimit);
   const double fy = std::clamp(std::floor(p.y / cell_size_m_), -kLimit, kLimit);
@@ -253,11 +238,20 @@ std::pair<std::int32_t, std::int32_t> Medium::grid_coords(const Position& p) con
 
 std::uint32_t Medium::cell_at(std::int32_t cx, std::int32_t cy) {
   const auto [slot, inserted] = cell_index_.try_emplace(cell_key(cx, cy));
-  if (inserted) {
-    *slot = static_cast<std::uint32_t>(cells_.size()) + 1;
-    cells_.push_back(Cell{cx, cy, 1, {}});
+  if (!inserted) return *slot - 1;
+  const auto ci = static_cast<std::uint32_t>(cells_.size());
+  *slot = ci + 1;
+  Cell cell{cx, cy, 0, {}, {}};
+  for (std::uint32_t k = 0; k < 9; ++k) {
+    const std::int32_t dx = static_cast<std::int32_t>(k % 3) - 1;
+    const std::int32_t dy = static_cast<std::int32_t>(k / 3) - 1;
+    const std::uint32_t ni = find_cell(cx + dx, cy + dy);  // k == 4: ci
+    cell.neighbors[k] = ni;
+    // The neighbor sees this cell at the mirrored offset.
+    if (k != 4 && ni != Radio::kNoCell) cells_[ni].neighbors[8 - k] = ci;
   }
-  return *slot - 1;
+  cells_.push_back(std::move(cell));
+  return ci;
 }
 
 std::uint32_t Medium::find_cell(std::int32_t cx, std::int32_t cy) const {
@@ -274,51 +268,43 @@ std::int32_t Medium::cell_chebyshev(std::int32_t ax, std::int32_t ay,
   return d > 3 ? 3 : static_cast<std::int32_t>(d);  // callers compare <= 2
 }
 
-std::uint64_t Medium::neighborhood_epochs(std::int32_t cx, std::int32_t cy) const {
-  // Sum of monotone counters over a fixed 3x3 neighborhood: strictly
-  // increases on any membership/geometry change inside it (including a
-  // cell springing into existence — insertion bumps the new cell's epoch
-  // past its initial value), so an equal sum means an unchanged audible
-  // world. Missing cells contribute 0.
-  std::uint64_t sum = 0;
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      const std::uint32_t ci = find_cell(cx + dx, cy + dy);
-      if (ci != Radio::kNoCell) sum += cells_[ci].epoch;
-    }
+void Medium::touch(std::uint32_t ci) {
+  // Neighborhoods are symmetric, so the cells around `ci` are exactly the
+  // cells whose neighborhoods hold it. A new cell's first insertion
+  // touches its neighbors too, so their plans pick up the new members.
+  for (const std::uint32_t ni : cells_[ci].neighbors) {
+    if (ni != Radio::kNoCell) ++cells_[ni].epoch;
   }
-  return sum;
 }
 
 void Medium::grid_insert(Radio* radio) {
   const auto [cx, cy] = grid_coords(radio->position_);
   const std::uint32_t ci = cell_at(cx, cy);
   Cell& cell = cells_[ci];
-  // Sorted by attach_seq_ so neighborhood gathers can restore the flat
-  // path's receiver order with one small sort.
+  // Sorted by attach_seq_ so a neighborhood gather restores the global
+  // attach order with one small sort.
   const auto pos = std::lower_bound(
       cell.members.begin(), cell.members.end(), radio,
       [](const Radio* a, const Radio* b) { return a->attach_seq_ < b->attach_seq_; });
   cell.members.insert(pos, radio);
-  ++cell.epoch;
+  touch(ci);
   radio->cell_ = ci;
 }
 
 void Medium::grid_remove(Radio* radio) {
-  Cell& cell = cells_[radio->cell_];
-  std::erase(cell.members, radio);
-  ++cell.epoch;
+  std::erase(cells_[radio->cell_].members, radio);
+  touch(radio->cell_);
   radio->cell_ = Radio::kNoCell;
 }
 
 void Medium::radio_moved(Radio& radio) {
   const auto [cx, cy] = grid_coords(radio.position_);
-  Cell& cell = cells_[radio.cell_];
+  const Cell& cell = cells_[radio.cell_];
   if (cell.cx == cx && cell.cy == cy) {
     // Same cell: geometry changed, so every plan whose neighborhood holds
     // this cell must refresh its RSSIs — but only those. Senders more than
     // one cell away never heard this radio and keep their plans.
-    ++cell.epoch;
+    touch(radio.cell_);
     return;
   }
   grid_remove(&radio);
@@ -327,7 +313,7 @@ void Medium::radio_moved(Radio& radio) {
 
 void Medium::radio_retuned(Radio& radio) {
   ensure_grid_bounds(radio);
-  ++cells_[radio.cell_].epoch;
+  touch(radio.cell_);
 }
 
 void Medium::ensure_grid_bounds(const Radio& radio) {
@@ -341,14 +327,13 @@ void Medium::ensure_grid_bounds(const Radio& radio) {
     widened = true;
   }
   if (!widened) return;
-  const double need = std::max(
-      config_.grid_cell_m, audible_range(grid_power_ceiling_, grid_sens_floor_));
+  const double need = audible_range(grid_power_ceiling_, grid_sens_floor_);
   if (need > cell_size_m_) regrid(need);
 }
 
 void Medium::regrid(double new_cell_m) {
-  // Rare (a radio exceeded the configured bounds): rebuild every cell at
-  // the wider side. grid_epoch_ stales every outstanding plan at once.
+  // Rare (a radio was tuned beyond every earlier one): rebuild every cell
+  // at the wider side. grid_epoch_ stales every outstanding plan at once.
   cell_size_m_ = new_cell_m;
   ++grid_epoch_;
   cells_.clear();
@@ -356,7 +341,7 @@ void Medium::regrid(double new_cell_m) {
   for (Radio* radio : radios_) grid_insert(radio);
 }
 
-std::vector<const Radio*> Medium::grid_cell_members(std::int32_t cx,
+std::vector<const Radio*> Medium::cell_members(std::int32_t cx,
                                                     std::int32_t cy) const {
   const std::uint32_t ci = find_cell(cx, cy);
   if (ci == Radio::kNoCell) return {};
@@ -370,15 +355,9 @@ void Medium::attach(Radio* radio) {
   radio->radios_index_ = radios_.size();
   radios_.push_back(radio);
   *by_seq_.try_emplace(radio->attach_seq_).first = radio;
-  if (grid_enabled()) {
-    ensure_grid_bounds(*radio);
-    grid_insert(radio);
-  } else {
-    // Attach order is attach_seq_ order, so push_back keeps the per-channel
-    // list sorted (deliver's RNG draw order depends on it).
-    channel_list(radio->channel_).push_back(radio);
-  }
-  invalidate_plans();
+  // A fresh radio has the default power and sensitivity the grid bounds
+  // start from, so only its setters can widen them.
+  grid_insert(radio);
 }
 
 void Medium::detach(Radio* radio) {
@@ -387,18 +366,14 @@ void Medium::detach(Radio* radio) {
   last->radios_index_ = radio->radios_index_;
   radios_.pop_back();
   *by_seq_.try_emplace(radio->attach_seq_).first = nullptr;
-  if (grid_enabled()) {
-    grid_remove(radio);
-  } else {
-    std::erase(channel_list(radio->channel_), radio);
-  }
+  // Stale PlanEntry::rx pointers into this radio are never dereferenced:
+  // only plans whose neighborhood holds its cell can list it, and touching
+  // the cell forces each of them to rebuild before its next walk.
+  grid_remove(radio);
   // attach_seq_ values are never reused, but dropping every pair-cache
   // slice on a (rare) detach keeps them from accumulating dead pairs.
   // The bump invalidates lazily; each slice empties on its next probe.
   ++cache_generation_;
-  // Stale PlanEntry::rx pointers into this radio are never dereferenced:
-  // the epoch bump forces every plan to rebuild before its next walk.
-  invalidate_plans();
   // Any in-flight transmission from this radio is corrupted here, which is
   // what makes deliver_impl()'s sender pointer safe to dereference: a
   // non-corrupted ActiveTx implies its sender is still attached.
@@ -407,81 +382,41 @@ void Medium::detach(Radio* radio) {
   }
 }
 
-void Medium::move_channel(Radio* radio, Channel from, Channel to) {
-  if (grid_enabled()) {
-    // Cell membership is channel-agnostic; the hop only perturbs plans in
-    // the radio's own neighborhood (it appears/disappears as a receiver).
-    ++cells_[radio->cell_].epoch;
-  } else {
-    std::erase(channel_list(from), radio);
-    // Re-insert by attach_seq_ so the per-channel order stays the global
-    // attach order (deliver's RNG draw order depends on it).
-    auto& list = channel_list(to);
-    const auto pos = std::lower_bound(
-        list.begin(), list.end(), radio, [](const Radio* a, const Radio* b) {
-          return a->attach_seq_ < b->attach_seq_;
-        });
-    list.insert(pos, radio);
-  }
-  invalidate_plans();
-}
-
 // ---- Delivery ---------------------------------------------------------------
 
 const Radio::DeliveryPlan& Medium::delivery_plan(const Radio& sender,
                                                  Channel channel) {
   Radio::DeliveryPlan& plan = sender.plan_;
-  if (!grid_enabled()) {
-    if (plan.epoch == world_epoch_ && plan.channel == channel) return plan;
-    const obs::Profiler::Scope scope(sim_.profiler(), plan_scope_);
-    ++plan_rebuild_count_;
-    plan.epoch = world_epoch_;
-    plan.channel = channel;
-    plan.entries.clear();
-    // pair_rssi keeps the per-pair epoch cache: a rebuild triggered by one
-    // radio's move only recomputes the pairs whose endpoints actually
-    // changed, and the rssi_miss_count_ bookkeeping stays identical to the
-    // pre-plan per-visit probing (same pairs stale at the same times).
-    if (const std::vector<Radio*>* list = find_channel_list(channel)) {
-      plan.entries.reserve(list->size());
-      for (Radio* rx : *list) {
-        if (rx == &sender) continue;
-        plan.entries.push_back(
-            Radio::PlanEntry{rx, pair_rssi(sender, *rx), rx->sensitivity_dbm_});
-      }
-    }
-    return plan;
-  }
-
   const Cell& home = cells_[sender.cell_];
-  const std::uint64_t neigh = neighborhood_epochs(home.cx, home.cy);
-  if (plan.epoch == grid_epoch_ && plan.channel == channel &&
-      plan.cell == sender.cell_ && plan.neigh_epochs == neigh) {
+  if (plan.grid_epoch == grid_epoch_ && plan.channel == channel &&
+      plan.cell == sender.cell_ && plan.neigh_epoch == home.epoch) {
     return plan;
   }
   const obs::Profiler::Scope scope(sim_.profiler(), plan_scope_);
   ++plan_rebuild_count_;
-  plan.epoch = grid_epoch_;
+  plan.grid_epoch = grid_epoch_;
   plan.channel = channel;
   plan.cell = sender.cell_;
-  plan.neigh_epochs = neigh;
+  plan.neigh_epoch = home.epoch;
   plan.entries.clear();
-  for (std::int32_t dy = -1; dy <= 1; ++dy) {
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-      const std::uint32_t ci = find_cell(home.cx + dx, home.cy + dy);
-      if (ci == Radio::kNoCell) continue;
-      for (Radio* rx : cells_[ci].members) {
-        if (rx == &sender || rx->channel_ != channel) continue;
-        plan.entries.push_back(
-            Radio::PlanEntry{rx, pair_rssi(sender, *rx), rx->sensitivity_dbm_});
-      }
+  // pair_rssi keeps the per-pair epoch cache: a rebuild triggered by one
+  // radio's move only recomputes the pairs whose endpoints changed.
+  std::size_t runs = 0;  // cells that contributed receivers
+  for (const std::uint32_t ci : home.neighbors) {
+    if (ci == Radio::kNoCell) continue;
+    const std::size_t before = plan.entries.size();
+    for (Radio* rx : cells_[ci].members) {
+      if (rx == &sender || rx->channel_ != channel) continue;
+      plan.entries.push_back(
+          Radio::PlanEntry{rx, pair_rssi(sender, *rx), rx->sensitivity_dbm_});
     }
+    if (plan.entries.size() != before) ++runs;
   }
-  // Receivers must be visited in attach_seq_ order — the order the flat
-  // path walks them — so a delivery's RNG draw sequence cannot depend on
-  // cell geometry. Cells are individually sorted; the 9-way union is
-  // small, so one sort beats a heap merge.
-  std::sort(plan.entries.begin(), plan.entries.end(),
+  // Receivers must be visited in attach_seq_ order so a delivery's RNG
+  // draw sequence cannot depend on cell geometry. Each cell's run is
+  // already sorted, so a one-run plan (a world in one cell) is done; a
+  // 9-way union is small, so one sort beats a heap merge.
+  if (runs > 1) std::sort(plan.entries.begin(), plan.entries.end(),
             [](const Radio::PlanEntry& a, const Radio::PlanEntry& b) {
               return a.rx->attach_seq_ < b.rx->attach_seq_;
             });
@@ -520,25 +455,19 @@ void Medium::transmit(Radio& sender, util::Bytes frame) {
   const sim::Time end = sim_.now() + airtime(frame.size());
   const std::uint64_t id = next_tx_id_++;
 
-  std::int32_t scx = 0;
-  std::int32_t scy = 0;
-  if (grid_enabled()) {
-    const Cell& cell = cells_[sender.cell_];
-    scx = cell.cx;
-    scy = cell.cy;
-  }
+  const Cell& home = cells_[sender.cell_];
   // No pruning needed: every entry's deliver event erases it, and events
   // fire in time order, so nothing in active_ is ever past its end_time.
   // Overlap on the same channel: two concurrent audible transmissions
-  // corrupt each other (no capture effect). Grid mode corrupts only when
-  // the senders are within two cells — any receiver hearing both is within
-  // one cell of each, so farther pairs cannot share a victim.
+  // corrupt each other (no capture effect) when the senders are within two
+  // cells — any receiver hearing both is within one cell of each, so
+  // farther pairs cannot share a victim.
   obs::Tracer& tracer = sim_.tracer();
   const bool tracing = tracer.enabled();
   bool collided = false;
   for (auto& tx : active_) {
     if (tx.channel != sender.channel() || tx.end_time <= sim_.now()) continue;
-    if (grid_enabled() && cell_chebyshev(tx.cx, tx.cy, scx, scy) > 2) continue;
+    if (cell_chebyshev(tx.cx, tx.cy, home.cx, home.cy) > 2) continue;
     if (tracing && !tx.corrupted) {
       // A not-yet-corrupted entry's sender is alive (detach corrupts its
       // in-flight transmissions), so the actor deref is safe here.
@@ -564,7 +493,7 @@ void Medium::transmit(Radio& sender, util::Bytes frame) {
     }
   }
   active_.push_back(ActiveTx{id, sender.channel(), sim_.now(), end, &sender,
-                             collided, scx, scy, trace_id});
+                             collided, home.cx, home.cy, trace_id});
 
   // Exactly 48 captured bytes: stays in EventFn's inline storage. The
   // frame buffer is recycled once every receiver has been handed its view.
@@ -598,8 +527,8 @@ void Medium::deliver_impl(std::uint64_t tx_id, const Radio* sender,
   if (tx.corrupted) return;
 
   // Batched fan-out: one walk over the sender's flattened delivery plan
-  // (per-channel order minus the sender, so the RNG draw sequence is
-  // identical to filtering the full list). The plan carries pairwise RSSI
+  // (the neighborhood's radios on the channel in attach order, minus the
+  // sender). The plan carries pairwise RSSI
   // and receiver sensitivity inline — the loop streams a contiguous array
   // and only dereferences a Radio on frames that actually land.
   //
@@ -703,31 +632,26 @@ void Medium::deliver_late(Radio* rx, Channel channel, double rssi, sim::Time at,
   sim_.at(at, [this, seq = rx->attach_seq_, channel, rssi, from_cx, from_cy,
                trace_id, f = std::move(copy)]() mutable {
     // The world may have changed while the frame was held: deliver only if
-    // the receiver is still attached, tuned to the channel, listening —
-    // and, in grid mode, still within audible range of the cell the frame
-    // left from. A radio that migrated out of that 3x3 neighborhood mid-
-    // flight can no longer hear the transmitter. (After a regrid the
-    // captured coordinates refer to the old cell size; the check stays a
-    // sound approximation and regrids are rare.)
+    // the receiver is still attached, tuned to the channel, listening and
+    // within audible range of the cell the frame left from. A radio that
+    // migrated out of that 3x3 neighborhood mid-flight can no longer hear
+    // the transmitter. (After a regrid the captured coordinates refer to
+    // the old cell size; the check stays a sound approximation and regrids
+    // are rare.)
     Radio* const* slot = by_seq_.find(seq);
     Radio* live = slot != nullptr ? *slot : nullptr;
-    if (live != nullptr && live->channel_ == channel && live->handler_) {
-      bool audible = true;
-      if (grid_enabled()) {
-        const Cell& cell = cells_[live->cell_];
-        audible = cell_chebyshev(cell.cx, cell.cy, from_cx, from_cy) <= 1;
-      }
-      if (audible) {
-        ++live->frames_received_;
-        obs::Tracer& tracer = sim_.tracer();
-        if (tracer.enabled()) {
-          tracer.instant(trace_rx_late_, live->trace_actor_,
-                         obs::TraceLayer::kPhy, trace_id);
-          const obs::Tracer::IdScope causal(tracer, trace_id);
-          live->handler_(f, RxInfo{sim_.now(), rssi, channel});
-        } else {
-          live->handler_(f, RxInfo{sim_.now(), rssi, channel});
-        }
+    if (live != nullptr && live->channel_ == channel && live->handler_ &&
+        cell_chebyshev(cells_[live->cell_].cx, cells_[live->cell_].cy, from_cx,
+                       from_cy) <= 1) {
+      ++live->frames_received_;
+      obs::Tracer& tracer = sim_.tracer();
+      if (tracer.enabled()) {
+        tracer.instant(trace_rx_late_, live->trace_actor_,
+                       obs::TraceLayer::kPhy, trace_id);
+        const obs::Tracer::IdScope causal(tracer, trace_id);
+        live->handler_(f, RxInfo{sim_.now(), rssi, channel});
+      } else {
+        live->handler_(f, RxInfo{sim_.now(), rssi, channel});
       }
     }
     sim_.buffer_pool().release(std::move(f));

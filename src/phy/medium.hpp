@@ -9,18 +9,20 @@
 // error probability, and it did not overlap another audible transmission
 // on the same channel (collision, no capture effect).
 //
-// Two delivery geometries share this interface:
-//   - flat (default): every radio on the channel is a delivery candidate,
-//     and any world change bumps one global epoch. Right for office-sized
-//     worlds where everyone hears everyone.
-//   - spatial grid (MediumConfig::spatial_grid): radios are bucketed into
-//     square cells whose side is the maximum audible range, so a sender's
-//     delivery plan only walks its 3x3 cell neighborhood and a position
-//     change invalidates only the senders whose neighborhoods contain the
-//     affected cell. Carrier sense and collisions localize the same way.
-//     Right for metro-scale worlds (hundreds of APs, 10k+ roaming STAs).
+// Delivery geometry: radios are bucketed into square cells whose side is
+// the longest audible range any attached radio can produce, so everything
+// a sender can reach lies in its 3x3 cell neighborhood. Each cell keeps
+// the indices of its eight neighbors: a sender's delivery plan is gathered
+// by walking that array, and a change in a cell bumps the epoch of every
+// cell around it, so validating a plan is one compare and a position
+// change invalidates only the plans whose neighborhoods hold the affected
+// cell. Carrier sense and collisions are localized the same way. An
+// office-sized world fits in one neighborhood — every radio on the channel
+// is a candidate, as on an unbucketed medium — while a metro-scale world
+// (hundreds of APs, 10k+ roaming STAs) only ever walks its neighborhood.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -73,24 +75,6 @@ struct MediumConfig {
   sim::Time sense_latency_us = 15;
   /// Max random backoff added when deferring to a busy channel.
   sim::Time max_backoff_us = 300;
-
-  // ---- Spatial grid (metro scale) ----------------------------------------
-  /// Bucket radios into square cells of the maximum audible range and
-  /// deliver from the 3x3 cell neighborhood instead of the whole channel.
-  /// Off by default: flat worlds keep their exact delivery and RNG-draw
-  /// behavior (including golden report digests).
-  bool spatial_grid = false;
-  /// Explicit cell side in metres; 0 derives it from the power ceiling /
-  /// sensitivity floor below. The effective side is never below the
-  /// derived audible range — an undersized cell would silence receivers a
-  /// flat medium could reach.
-  double grid_cell_m = 0.0;
-  /// Loudest transmitter / most sensitive receiver the grid is sized for
-  /// (defaults match Radio's defaults). Attaching or re-tuning a radio
-  /// beyond these bounds widens them and triggers a (rare) full regrid,
-  /// so the 3x3 neighborhood always covers the true audible range.
-  double grid_tx_power_ceiling_dbm = 15.0;
-  double grid_sensitivity_floor_dbm = -85.0;
   /// Pairwise-RSSI memoisation (Radio::pair_cache_). Worth it for mostly
   /// static worlds; metro-scale roaming turns it off because every
   /// mobility tick stales the entries while tens of thousands of
@@ -143,7 +127,9 @@ class Radio {
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_received() const { return frames_received_; }
   [[nodiscard]] std::uint64_t frames_deferred() const { return deferred_; }
-  [[nodiscard]] std::size_t tx_queue_depth() const { return queue_.size(); }
+  [[nodiscard]] std::size_t tx_queue_depth() const {
+    return queue_.size() - queue_head_;
+  }
 
   /// This radio's tracer track (interned from its name at attach). MAC
   /// layers reuse it so phy and dot11 records share one track per radio.
@@ -153,6 +139,9 @@ class Radio {
   friend class Medium;
 
   static constexpr std::uint32_t kNoCell = 0xffffffffu;
+  /// A fresh radio's tx power / sensitivity; the grid starts sized for them.
+  static constexpr double kDefaultTxPowerDbm = 15.0;
+  static constexpr double kDefaultSensitivityDbm = -85.0;
 
   /// Pairwise RSSI (before per-reception noise) memoised between geometry
   /// changes; entries are revalidated against both radios' geom_epoch_.
@@ -172,19 +161,24 @@ class Radio {
     double sens_dbm;
   };
 
-  /// Per-sender fan-out table for one channel. Flat mode validates it
-  /// against the medium's world epoch (any attach/detach/channel/
-  /// geometry/sensitivity change invalidates every plan at once). Grid
-  /// mode validates it against the sender's cell plus the summed epochs
-  /// of the 3x3 neighborhood (cell epochs only move forward, so an
-  /// unchanged sum over a fixed neighborhood means an unchanged world
-  /// within audible range).
+  /// Per-sender fan-out table for one channel, validated against the
+  /// grid generation, the sender's cell and that cell's neighborhood
+  /// epoch (it only moves forward, so an unchanged epoch means an
+  /// unchanged world within audible range).
   struct DeliveryPlan {
-    std::uint64_t epoch = 0;  ///< world epoch (flat) / grid epoch (grid); 0 = never built
+    std::uint64_t grid_epoch = 0;  ///< 0 = never built
     Channel channel = 0;
-    std::uint32_t cell = kNoCell;    ///< sender's cell index at build (grid)
-    std::uint64_t neigh_epochs = 0;  ///< 3x3 cell-epoch sum at build (grid)
+    std::uint32_t cell = kNoCell;   ///< sender's cell index at build
+    std::uint64_t neigh_epoch = 0;  ///< that cell's Cell::epoch at build
     std::vector<PlanEntry> entries;
+  };
+
+  /// A frame waiting for the air, with the causal context captured when it
+  /// was handed to the radio — CSMA deferral must not sever the chain a
+  /// response rides.
+  struct QueuedFrame {
+    util::Bytes frame;
+    std::uint64_t chain;
   };
 
   void attempt_transmit();
@@ -193,12 +187,12 @@ class Radio {
   std::string name_;
   Channel channel_ = 1;
   Position position_{};
-  double tx_power_dbm_ = 15.0;
-  double sensitivity_dbm_ = -85.0;
+  double tx_power_dbm_ = kDefaultTxPowerDbm;
+  double sensitivity_dbm_ = kDefaultSensitivityDbm;
   std::uint64_t attach_seq_ = 0;   ///< attach order; keys the medium's caches
   obs::TraceActorId trace_actor_;  ///< tracer track for this radio's records
   std::uint32_t geom_epoch_ = 0;   ///< bumped on position/tx-power changes
-  std::uint32_t cell_ = kNoCell;   ///< grid cell index (grid mode only)
+  std::uint32_t cell_ = kNoCell;   ///< grid cell index
   std::size_t radios_index_ = 0;   ///< slot in Medium::radios_ (O(1) detach)
   /// Mutable: rebuilt lazily inside deliver_impl(), which sees the sender
   /// through a const pointer recorded at transmit time.
@@ -210,10 +204,10 @@ class Radio {
   mutable util::FlatU64Map<RssiCacheEntry> pair_cache_;
   mutable std::uint64_t cache_gen_seen_ = 0;  ///< Medium::cache_generation_ sync
   RxHandler handler_;
-  std::vector<util::Bytes> queue_;
-  /// Causal context captured when each queued frame was handed to the
-  /// radio — CSMA deferral must not sever the chain a response rides.
-  std::vector<std::uint64_t> queue_chain_;
+  /// FIFO: pops advance queue_head_, and both reset once the queue drains,
+  /// so the vector's capacity is reused and nothing erases from its front.
+  std::vector<QueuedFrame> queue_;
+  std::size_t queue_head_ = 0;
   sim::TimerHandle attempt_timer_;
   bool attempt_pending_ = false;
   bool contended_ = false;
@@ -244,10 +238,6 @@ class Medium {
   /// fade — the radius the grid's cell side must cover.
   [[nodiscard]] double audible_range(double tx_power_dbm,
                                      double sensitivity_dbm) const;
-  /// Latest end time of transmissions on `channel` that a carrier-sensing
-  /// radio can currently see (ignores those inside the blind window).
-  /// World-wide view; grid-mode senders use the localized overload below.
-  [[nodiscard]] sim::Time channel_busy_until(Channel channel) const;
 
   [[nodiscard]] std::uint64_t frames_transmitted() const { return tx_count_; }
   [[nodiscard]] std::uint64_t collisions() const { return collision_count_; }
@@ -255,28 +245,17 @@ class Medium {
   /// one sender's flattened fan-out table after a world change). A static
   /// world settles at one rebuild per active sender.
   [[nodiscard]] std::uint64_t plan_rebuilds() const { return plan_rebuild_count_; }
-  /// Monotonic world epoch: bumped by any attach/detach/channel change (and
-  /// in flat mode by geometry/sensitivity changes too — grid mode keeps
-  /// those cell-local, which is the whole point). Flat delivery plans are
-  /// validated against it.
-  [[nodiscard]] std::uint64_t world_epoch() const { return world_epoch_; }
 
-  // ---- Spatial-grid introspection (tests, benchmarks) ---------------------
-  [[nodiscard]] bool grid_enabled() const { return config_.spatial_grid; }
-  /// Effective cell side (0 when the grid is off). May grow over the run
-  /// if a radio exceeds the configured power ceiling / sensitivity floor.
+  // ---- Grid introspection (tests) -----------------------------------------
+  /// Cell side in metres. Grows over the run if a radio is tuned louder or
+  /// more sensitive than any before it.
   [[nodiscard]] double grid_cell_size_m() const { return cell_size_m_; }
-  /// Cells that have ever held a radio (never shrinks during a run).
-  [[nodiscard]] std::size_t grid_cell_count() const { return cells_.size(); }
-  /// Bumped on every regrid (bounds widening); plans from before a regrid
-  /// are all stale.
-  [[nodiscard]] std::uint64_t grid_generation() const { return grid_epoch_; }
   /// Cell coordinates a radio at `p` belongs to.
   [[nodiscard]] std::pair<std::int32_t, std::int32_t> grid_coords(
       const Position& p) const;
   /// Members of one cell in attach_seq_ order (empty if the cell does not
   /// exist). For property tests against brute-force recomputation.
-  [[nodiscard]] std::vector<const Radio*> grid_cell_members(
+  [[nodiscard]] std::vector<const Radio*> cell_members(
       std::int32_t cx, std::int32_t cy) const;
 
   /// Chaos knob: extra loss probability layered on top of the configured
@@ -316,7 +295,7 @@ class Medium {
     sim::Time end_time;
     const Radio* sender;
     bool corrupted;
-    std::int32_t cx;  ///< sender cell coords at tx start (grid mode)
+    std::int32_t cx;  ///< sender cell coords at tx start
     std::int32_t cy;
     /// Causal chain id the frame carries through delivery. Rides here, not
     /// in the delivery event's capture — the EventFn capture is exactly
@@ -325,55 +304,46 @@ class Medium {
   };
 
   /// One grid cell: the radios currently inside one cell-sized square,
-  /// sorted by attach_seq_ so neighborhood gathers preserve the flat
-  /// path's RNG draw order. Cells are created on first occupancy and kept
-  /// for the life of the run (their epoch must stay monotone).
+  /// sorted by attach_seq_ (the RNG draw order of a delivery). Cells are
+  /// created on first occupancy and kept until the next regrid (their
+  /// epoch must stay monotone).
   struct Cell {
     std::int32_t cx = 0;
     std::int32_t cy = 0;
-    std::uint64_t epoch = 1;  ///< bumped on membership/geometry change
+    /// Bumped by touch() on any membership/geometry/channel change in
+    /// this cell or one of its neighbors.
+    std::uint64_t epoch = 0;
+    /// The 3x3 neighborhood, row-major from (cx-1, cy-1); this cell sits at
+    /// index 4 and kNoCell marks a neighbor that does not exist yet. A new
+    /// cell patches itself into its existing neighbors' arrays.
+    std::array<std::uint32_t, 9> neighbors{};
     std::vector<Radio*> members;
-  };
-
-  /// Flat-mode per-channel index. Sized by occupancy — worlds touch a
-  /// handful of channels, so a fixed 256-entry array was dead weight per
-  /// sweep replica. Lists are sorted by attach_seq_ (RNG draw order).
-  struct ChannelList {
-    Channel channel = 0;
-    std::vector<Radio*> radios;
   };
 
   void attach(Radio* radio);
   void detach(Radio* radio);
-  void move_channel(Radio* radio, Channel from, Channel to);
   void transmit(Radio& sender, util::Bytes frame);
   void deliver(std::uint64_t tx_id, const Radio* sender, const util::Bytes& frame);
   void deliver_impl(std::uint64_t tx_id, const Radio* sender,
                     const util::Bytes& frame);
   [[nodiscard]] double pair_rssi(const Radio& tx, const Radio& rx);
   /// Hand a chaos-delayed (or duplicated) frame copy to `rx` at the
-  /// scheduled time, re-validating attachment/channel/handler — and, in
-  /// grid mode, that the receiver is still within audible range of the
-  /// cell the frame left from (`from_cx`/`from_cy`).
+  /// scheduled time, re-validating attachment/channel/handler and that the
+  /// receiver is still within audible range of the cell the frame left
+  /// from (`from_cx`/`from_cy`).
   void deliver_late(Radio* rx, Channel channel, double rssi, sim::Time at,
                     const util::Bytes& frame, std::int32_t from_cx,
                     std::int32_t from_cy, std::uint64_t trace_id);
-  /// Flat mode: invalidate every sender's cached delivery plan (O(1):
-  /// plans revalidate lazily against the bumped epoch on their next use).
-  void invalidate_plans() { ++world_epoch_; }
   /// The sender's flattened fan-out table for `channel`, rebuilt if stale.
   [[nodiscard]] const Radio::DeliveryPlan& delivery_plan(const Radio& sender,
                                                          Channel channel);
-  /// CSMA view for one listening radio: in grid mode only transmissions
-  /// from the listener's 3x3 neighborhood are sensed.
+  /// CSMA view for one listening radio: the latest end time of visible
+  /// transmissions on its channel from its 3x3 neighborhood (those inside
+  /// the sensing blind window are not yet visible).
   [[nodiscard]] sim::Time channel_busy_for(const Radio& listener) const;
   /// Publish the plain member tallies below into the stats registry;
   /// runs from the registry's on_snapshot() hook.
   void flush_stats();
-
-  // ---- Flat-mode channel index --------------------------------------------
-  [[nodiscard]] std::vector<Radio*>& channel_list(Channel ch);
-  [[nodiscard]] const std::vector<Radio*>* find_channel_list(Channel ch) const;
 
   // ---- Grid internals -----------------------------------------------------
   [[nodiscard]] static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy);
@@ -381,24 +351,23 @@ class Medium {
   [[nodiscard]] std::uint32_t cell_at(std::int32_t cx, std::int32_t cy);
   /// Index of an existing cell, or Radio::kNoCell.
   [[nodiscard]] std::uint32_t find_cell(std::int32_t cx, std::int32_t cy) const;
-  /// Sum of the 3x3 neighborhood's cell epochs around (cx, cy). Missing
-  /// cells contribute 0; a cell springing into existence bumps the sum
-  /// because insertion bumps its epoch past the initial value.
-  [[nodiscard]] std::uint64_t neighborhood_epochs(std::int32_t cx,
-                                                 std::int32_t cy) const;
+  /// Record a change in cell `ci`: bumps the epoch of every cell in its
+  /// 3x3 neighborhood, i.e. of every cell whose plans could list it.
+  void touch(std::uint32_t ci);
   /// Insert `radio` into the cell for its current position (sorted by
-  /// attach_seq_) and bump that cell's epoch.
+  /// attach_seq_) and touch that cell.
   void grid_insert(Radio* radio);
-  /// Remove `radio` from its cell and bump that cell's epoch.
+  /// Remove `radio` from its cell and touch that cell.
   void grid_remove(Radio* radio);
-  /// set_position() hook: same cell -> bump its epoch (geometry changed);
-  /// cell crossing -> move membership and bump both cells.
+  /// set_position() hook: same cell -> touch it (geometry changed); cell
+  /// crossing -> move membership and touch both cells.
   void radio_moved(Radio& radio);
-  /// set_tx_power/set_sensitivity hook: widen grid bounds if needed, bump
-  /// the radio's cell.
+  /// set_tx_power/set_sensitivity/set_channel hook: widen grid bounds if
+  /// needed, touch the radio's cell.
   void radio_retuned(Radio& radio);
   /// Widen the power ceiling / sensitivity floor to cover `radio`; regrids
-  /// (rare, O(N)) when the audible range outgrows the current cell side.
+  /// (rare, O(N)) when the audible range outgrows the current cell side, so
+  /// the 3x3 neighborhood always covers the true audible range.
   void ensure_grid_bounds(const Radio& radio);
   /// Rebuild every cell at `new_cell_m`; all outstanding plans go stale
   /// via grid_epoch_.
@@ -410,23 +379,23 @@ class Medium {
   sim::Simulator& sim_;
   MediumConfig config_;
   /// Every attached radio, unordered (detach swap-removes via
-  /// Radio::radios_index_). Delivery order never reads this — flat mode
-  /// orders by the per-channel lists, grid mode by per-cell membership.
+  /// Radio::radios_index_). Delivery order never reads this: it comes from
+  /// per-cell membership.
   std::vector<Radio*> radios_;
   /// attach_seq_ -> radio, nulled on detach (FlatU64Map has no erase).
   /// Lets chaos-delayed deliveries revalidate a receiver without an O(N)
   /// scan and without dereferencing a possibly-destroyed pointer.
   util::FlatU64Map<Radio*> by_seq_;
-  std::vector<ChannelList> channels_;
   std::vector<ActiveTx> active_;
 
-  // Spatial grid state (grid mode only; empty containers otherwise).
   std::vector<Cell> cells_;
   util::FlatU64Map<std::uint32_t> cell_index_;  ///< cell_key -> index + 1
+  /// Loudest transmitter / most sensitive receiver seen so far; the cell
+  /// side is the audible range between them.
+  double grid_power_ceiling_ = Radio::kDefaultTxPowerDbm;
+  double grid_sens_floor_ = Radio::kDefaultSensitivityDbm;
   double cell_size_m_ = 0.0;
-  double grid_power_ceiling_ = 0.0;
-  double grid_sens_floor_ = 0.0;
-  std::uint64_t grid_epoch_ = 1;
+  std::uint64_t grid_epoch_ = 1;  ///< bumped per regrid; stales every plan
 
   double extra_loss_ = 0.0;
   double reorder_prob_ = 0.0;
@@ -434,7 +403,6 @@ class Medium {
   sim::Time jitter_max_us_ = 0;
   std::uint64_t next_attach_seq_ = 1;
   std::uint64_t next_tx_id_ = 1;
-  std::uint64_t world_epoch_ = 1;  ///< starts above 0 so fresh plans are stale
   std::uint64_t plan_rebuild_count_ = 0;
   /// Bumped on detach: every radio's pair_cache_ slice is lazily dropped on
   /// its next probe (same observable miss pattern as clearing one global
@@ -483,37 +451,5 @@ class Medium {
   obs::TraceNameId trace_drop_corrupt_;
   std::uint64_t flush_token_ = 0;
 };
-
-// Geometry/sensitivity setters route through the medium so the right
-// invalidation fires (global world epoch in flat mode, cell-local epochs
-// in grid mode); their bodies live after Medium's definition.
-inline void Radio::set_position(Position p) {
-  position_ = p;
-  ++geom_epoch_;
-  if (medium_.grid_enabled()) {
-    medium_.radio_moved(*this);
-  } else {
-    medium_.invalidate_plans();
-  }
-}
-
-inline void Radio::set_tx_power_dbm(double p) {
-  tx_power_dbm_ = p;
-  ++geom_epoch_;
-  if (medium_.grid_enabled()) {
-    medium_.radio_retuned(*this);
-  } else {
-    medium_.invalidate_plans();
-  }
-}
-
-inline void Radio::set_sensitivity_dbm(double s) {
-  sensitivity_dbm_ = s;
-  if (medium_.grid_enabled()) {
-    medium_.radio_retuned(*this);
-  } else {
-    medium_.invalidate_plans();
-  }
-}
 
 }  // namespace rogue::phy

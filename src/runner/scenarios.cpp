@@ -206,7 +206,7 @@ std::vector<Variant> metro_variants(double /*fault_intensity*/) {
   // EXP-C5 at neighborhood scale: small enough for CI smokes and the
   // default 100-replica sweep, large enough that roaming crosses many
   // grid cells and several same-channel AP boundaries.
-  scenario::MetroConfig base;  // 6x4 APs, 512 STAs, spatial grid
+  scenario::MetroConfig base;  // 6x4 APs, 512 STAs
 
   std::vector<Variant> variants;
   variants.push_back(metro_variant("baseline", base));
@@ -214,14 +214,6 @@ std::vector<Variant> metro_variants(double /*fault_intensity*/) {
   scenario::MetroConfig twin = base;
   twin.rogue_count = 4;
   variants.push_back(metro_variant("evil-twin", twin));
-
-  // The same world on the flat medium: sweep output then carries a
-  // same-binary grid-vs-flat comparison (equivalence is asserted by the
-  // test suite; this keeps the runtime delta visible in reports).
-  scenario::MetroConfig flat = twin;
-  flat.spatial_grid = false;
-  variants.push_back(metro_variant("flat-ref", flat));
-
   return variants;
 }
 

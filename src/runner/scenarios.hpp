@@ -42,10 +42,9 @@ namespace rogue::runner {
 
 /// Metro roaming ladder (EXP-C5 at city scale): a street grid of APs with
 /// a waypoint-roaming STA population on the spatial-grid medium. Variants:
-/// baseline (no rogues), evil-twin (rogue APs advertising the same ESS),
-/// and flat-ref (the same small world on the flat medium, for grid-vs-flat
-/// cross-checks in sweep output). `fault_intensity` is ignored — the metro
-/// episode is a roaming study, not a chaos study.
+/// baseline (no rogues) and evil-twin (rogue APs advertising the same
+/// ESS). `fault_intensity` is ignored — the metro episode is a roaming
+/// study, not a chaos study.
 [[nodiscard]] std::vector<Variant> metro_variants(double fault_intensity = 0.0);
 
 /// City-scale acceptance ladder: hundreds of APs, tens of thousands of

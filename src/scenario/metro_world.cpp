@@ -19,10 +19,8 @@ constexpr std::uint64_t kStaIdBase = 0x50'0000'0000ull;
 
 phy::MediumConfig metro_medium(const MetroConfig& cfg) {
   phy::MediumConfig m = cfg.medium;
-  m.spatial_grid = cfg.spatial_grid;
   // Constant mobility stales pairwise-RSSI entries before reuse while the
   // per-sender slices cost real memory at 50k radios; compute directly.
-  // Applied on both geometries so flat-vs-grid comparisons stay aligned.
   m.pair_rssi_cache = false;
   return m;
 }

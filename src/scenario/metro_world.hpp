@@ -14,9 +14,9 @@
 // loss). The APs are real dot11::AccessPoint instances, so the handshake
 // the STA runs is the same one every other scenario exercises.
 //
-// Scale notes: the medium runs in spatial-grid mode (MediumConfig::
-// spatial_grid) with the pairwise-RSSI cache off, one world-level
-// mobility timer moves every STA (no per-STA motion timers), and each STA
+// Scale notes: the medium runs with the pairwise-RSSI cache off, its
+// spatial grid keeps every delivery inside a 3x3 cell neighborhood, one
+// world-level mobility timer moves every STA (no per-STA motion timers), and each STA
 // releases its delivery-plan memory (Radio::trim_tx_state) whenever it
 // leaves the join phase — a STA transmits a handful of management frames
 // per roam, so holding a neighborhood-sized plan between roams is pure
@@ -73,10 +73,7 @@ struct MetroConfig {
 
   sim::Time episode_duration = 20 * sim::kSecond;
 
-  /// Delivery geometry. Metro defaults to the spatial grid (the flat path
-  /// exists for scaling comparisons: EXP-C5 measures both).
-  bool spatial_grid = true;
-  phy::MediumConfig medium;  ///< grid/pair-cache knobs applied on top
+  phy::MediumConfig medium;  ///< pair_rssi_cache is forced off on top
 };
 
 class MetroWorld final : public World {

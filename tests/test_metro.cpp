@@ -1,8 +1,9 @@
-// Spatial-grid medium + metro world tests: grid-vs-flat equivalence (the
-// grid is an indexing structure, not a physics change — a world that fits
-// in one cell neighborhood must produce byte-identical results), cell
-// membership consistency under churn, localized plan invalidation,
-// chaos-delayed delivery revalidation, and metro sweep determinism.
+// Spatial-grid medium + metro world tests: pinned delivery and report
+// digests (the grid is an indexing structure, not a physics change — a
+// world that fits in one cell neighborhood must reproduce the digests an
+// unbucketed medium produced), cell membership consistency under churn,
+// localized plan invalidation, chaos-delayed delivery revalidation, and
+// metro sweep determinism.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "phy/medium.hpp"
 #include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
@@ -28,131 +30,106 @@ namespace rogue {
 namespace {
 
 using phy::Medium;
-using phy::MediumConfig;
 using phy::Position;
 using phy::Radio;
 using runner::ExperimentRunner;
 using runner::SweepConfig;
 using util::to_bytes;
 
-MediumConfig grid_config() {
-  MediumConfig cfg;
-  cfg.spatial_grid = true;
-  return cfg;
+// ---- Pinned digests -----------------------------------------------------
+//
+// Each digest below was captured from a medium that walked every radio on
+// the channel (no cells). The grid only changes *which plan entries
+// exist*, never the RNG draw sequence, and in a world that fits in one
+// cell neighborhood the entry sets coincide — so these must never move.
+
+std::string sweep_digest(ExperimentRunner& exp) {
+  return crypto::sha256_hex(util::to_bytes(exp.run().to_json().dump(2)));
 }
 
-// ---- Grid-vs-flat equivalence -------------------------------------------
+// A dense single-neighborhood world: same receivers, in the same order,
+// with the same post-noise RSSI, and the same collisions.
+TEST(GridEquivalence, DenseWorldDeliveryLogPinned) {
+  sim::Simulator sim{42};
+  Medium medium(sim);
 
-// A dense single-neighborhood world run under both geometries with the
-// same seed must produce the exact same delivery log: same receivers, in
-// the same order, with the same post-noise RSSI — because the grid only
-// changes *which plan entries exist*, never the RNG draw sequence, and in
-// a one-cell world the entry sets coincide.
-TEST(GridEquivalence, DenseWorldDeliveryLogMatchesFlat) {
-  const auto run_world = [](bool grid) {
-    sim::Simulator sim{42};
-    MediumConfig cfg;
-    cfg.spatial_grid = grid;
-    Medium medium(sim, cfg);
-
-    std::deque<Radio> radios;
-    std::vector<std::string> log;
-    util::Prng layout(7);  // same layout both runs
+  std::vector<std::string> log;
+  std::deque<Radio> radios;
+  util::Prng layout(7);
+  for (int i = 0; i < 16; ++i) {
+    Radio& r = radios.emplace_back(medium, "r" + std::to_string(i));
+    r.set_position({layout.uniform01() * 100.0, layout.uniform01() * 100.0});
+    if (i % 5 == 0) r.set_channel(6);  // a few off-channel radios
+    r.set_receive_handler([&log, i, &sim](util::ByteView frame,
+                                          const phy::RxInfo& info) {
+      char line[96];
+      std::snprintf(line, sizeof line, "rx=%d len=%zu rssi=%.6f t=%llu", i,
+                    frame.size(), info.rssi_dbm,
+                    static_cast<unsigned long long>(sim.now()));
+      log.emplace_back(line);
+    });
+  }
+  // Spaced transmissions (no CSMA overlap) plus one same-instant pair so
+  // the collision path is exercised identically too.
+  for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 16; ++i) {
-      Radio& r = radios.emplace_back(medium, "r" + std::to_string(i));
-      r.set_position({layout.uniform01() * 100.0, layout.uniform01() * 100.0});
-      if (i % 5 == 0) r.set_channel(6);  // a few off-channel radios
-      r.set_receive_handler([&log, i, &sim](util::ByteView frame,
-                                            const phy::RxInfo& info) {
-        char line[96];
-        std::snprintf(line, sizeof line, "rx=%d len=%zu rssi=%.6f t=%llu", i,
-                      frame.size(), info.rssi_dbm,
-                      static_cast<unsigned long long>(sim.now()));
-        log.emplace_back(line);
+      const sim::Time at =
+          static_cast<sim::Time>(round * 16 + i) * 5'000 + 1'000;
+      sim.at(at, [&radios, idx = static_cast<std::size_t>(i)] {
+        radios[idx].transmit(to_bytes("payload"));
       });
     }
-    // Spaced transmissions (no CSMA overlap) plus one same-instant pair so
-    // the collision path is exercised identically too.
-    for (int round = 0; round < 3; ++round) {
-      for (int i = 0; i < 16; ++i) {
-        const sim::Time at =
-            static_cast<sim::Time>(round * 16 + i) * 5'000 + 1'000;
-        sim.at(at, [&radios, idx = static_cast<std::size_t>(i)] {
-          radios[idx].transmit(to_bytes("payload"));
-        });
-      }
-    }
-    sim.at(400'000, [&radios] {
-      radios[1].transmit(to_bytes("overlap-a"));
-      radios[2].transmit(to_bytes("overlap-b"));
-    });
-    sim.run();
-    log.push_back("tx=" + std::to_string(medium.frames_transmitted()) +
-                  " col=" + std::to_string(medium.collisions()));
-    return log;
-  };
-
-  const std::vector<std::string> flat = run_world(false);
-  const std::vector<std::string> grid = run_world(true);
-  ASSERT_GT(flat.size(), 50u);  // the world actually delivered traffic
-  EXPECT_EQ(grid, flat);
+  }
+  sim.at(400'000, [&radios] {
+    radios[1].transmit(to_bytes("overlap-a"));
+    radios[2].transmit(to_bytes("overlap-b"));
+  });
+  sim.run();
+  log.push_back("tx=" + std::to_string(medium.frames_transmitted()) +
+                " col=" + std::to_string(medium.collisions()));
+  ASSERT_EQ(log.size(), 326u);  // the world actually delivered traffic
+  std::string joined;
+  for (const std::string& line : log) joined += line + "\n";
+  EXPECT_EQ(crypto::sha256_hex(util::to_bytes(joined)),
+            "1350f1cba6dafc3cc20babaa4a353d211d1de92d1d4a4228d6794b0114349088");
 }
 
-// Whole-report equivalence at sweep level: the corp ladder (an office-
-// sized world) serialized byte-for-byte identically with the grid on.
-TEST(GridEquivalence, CorpReportBytesMatchFlat) {
-  const auto run_sweep = [](bool grid) {
-    SweepConfig cfg;
-    cfg.scenario = "corp";
-    cfg.seed_base = 3;
-    cfg.runs = 2;
-    cfg.jobs = 2;
-    ExperimentRunner exp(cfg);
-
-    scenario::CorpConfig baseline;
-    baseline.medium.spatial_grid = grid;
-    exp.add_variant("baseline", [baseline](std::uint64_t) {
-      return std::make_unique<scenario::CorpWorld>(baseline);
-    });
-
-    scenario::CorpConfig rogue;
-    rogue.deploy_rogue = true;
-    rogue.medium.spatial_grid = grid;
-    exp.add_variant("rogue", [rogue](std::uint64_t) {
-      return std::make_unique<scenario::CorpWorld>(rogue);
-    });
-
-    return exp.run().to_json().dump(2);
-  };
-
-  const std::string flat = run_sweep(false);
-  ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(run_sweep(true), flat);
+// Whole-report digest at sweep level: the corp ladder (an office-sized
+// world), serialized byte for byte.
+TEST(GridEquivalence, CorpReportBytesPinned) {
+  SweepConfig cfg;
+  cfg.scenario = "corp";
+  cfg.seed_base = 3;
+  cfg.runs = 2;
+  cfg.jobs = 2;
+  ExperimentRunner exp(cfg);
+  exp.add_variant("baseline", [](std::uint64_t) {
+    return std::make_unique<scenario::CorpWorld>(scenario::CorpConfig{});
+  });
+  scenario::CorpConfig rogue;
+  rogue.deploy_rogue = true;
+  exp.add_variant("rogue", [rogue](std::uint64_t) {
+    return std::make_unique<scenario::CorpWorld>(rogue);
+  });
+  EXPECT_EQ(sweep_digest(exp),
+            "bf5bf79a4663c0843335a5805432829662a85b34fd907cd2aa004f8a4076f5f4");
 }
 
 // Same contract on the hostile-hotspot world.
-TEST(GridEquivalence, HotspotReportBytesMatchFlat) {
-  const auto run_sweep = [](bool grid) {
-    SweepConfig cfg;
-    cfg.scenario = "hotspot";
-    cfg.seed_base = 11;
-    cfg.runs = 2;
-    cfg.jobs = 2;
-    ExperimentRunner exp(cfg);
-
-    scenario::HotspotConfig hostile;
-    hostile.hostile = true;
-    hostile.medium.spatial_grid = grid;
-    exp.add_variant("hostile", [hostile](std::uint64_t) {
-      return std::make_unique<scenario::HotspotWorld>(hostile);
-    });
-
-    return exp.run().to_json().dump(2);
-  };
-
-  const std::string flat = run_sweep(false);
-  ASSERT_FALSE(flat.empty());
-  EXPECT_EQ(run_sweep(true), flat);
+TEST(GridEquivalence, HotspotReportBytesPinned) {
+  SweepConfig cfg;
+  cfg.scenario = "hotspot";
+  cfg.seed_base = 11;
+  cfg.runs = 2;
+  cfg.jobs = 2;
+  ExperimentRunner exp(cfg);
+  scenario::HotspotConfig hostile;
+  hostile.hostile = true;
+  exp.add_variant("hostile", [hostile](std::uint64_t) {
+    return std::make_unique<scenario::HotspotWorld>(hostile);
+  });
+  EXPECT_EQ(sweep_digest(exp),
+            "eff577a85f48cbf74d037830eb3e301edf16f14e38cb53a07da08151caf290c5");
 }
 
 // ---- Cell membership under churn ----------------------------------------
@@ -162,8 +139,7 @@ TEST(GridEquivalence, HotspotReportBytesMatchFlat) {
 // maps to, and no cell holds radios that do not map back to it.
 TEST(Grid, CellMembershipMatchesBruteForce) {
   sim::Simulator sim{5};
-  Medium medium(sim, grid_config());
-  ASSERT_TRUE(medium.grid_enabled());
+  Medium medium(sim);
   ASSERT_GT(medium.grid_cell_size_m(), 0.0);
 
   std::vector<std::unique_ptr<Radio>> radios;
@@ -182,7 +158,7 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
       if (!r) continue;
       const auto c = medium.grid_coords(r->position());
       ++expect_count[c];
-      const auto members = medium.grid_cell_members(c.first, c.second);
+      const auto members = medium.cell_members(c.first, c.second);
       std::size_t hits = 0;
       for (const Radio* m : members) {
         if (m == r.get()) ++hits;
@@ -192,7 +168,7 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
     // Reverse direction: every cell ever occupied holds exactly the
     // radios that currently map to it (stale members would show here).
     for (const auto& c : coords_ever) {
-      const auto members = medium.grid_cell_members(c.first, c.second);
+      const auto members = medium.cell_members(c.first, c.second);
       const auto it = expect_count.find(c);
       const std::size_t expected = it == expect_count.end() ? 0 : it->second;
       EXPECT_EQ(members.size(), expected)
@@ -238,42 +214,77 @@ TEST(Grid, CellMembershipMatchesBruteForce) {
 // ---- Localized invalidation ---------------------------------------------
 
 // The point of per-cell epochs: churn far outside a sender's neighborhood
-// must not invalidate its delivery plan. The flat path (one world epoch)
-// rebuilds on any movement — that contrast is what the grid removes.
+// must not invalidate its delivery plan.
 TEST(Grid, FarAwayMovementKeepsPlansValid) {
-  const auto rebuilds_after_far_churn = [](bool grid) {
-    sim::Simulator sim{9};
-    MediumConfig cfg;
-    cfg.spatial_grid = grid;
-    Medium medium(sim, cfg);
-    Radio tx(medium, "tx");
-    Radio rx(medium, "rx");
-    rx.set_position({5.0, 0.0});
-    rx.set_receive_handler([](util::ByteView, const phy::RxInfo&) {});
-    Radio far1(medium, "far1");
-    far1.set_position({50'000.0, 50'000.0});
-    Radio far2(medium, "far2");
-    far2.set_position({50'010.0, 50'000.0});
+  sim::Simulator sim{9};
+  Medium medium(sim);
+  Radio tx(medium, "tx");
+  Radio rx(medium, "rx");
+  rx.set_position({5.0, 0.0});
+  rx.set_receive_handler([](util::ByteView, const phy::RxInfo&) {});
+  Radio far1(medium, "far1");
+  far1.set_position({50'000.0, 50'000.0});
+  Radio far2(medium, "far2");
+  far2.set_position({50'010.0, 50'000.0});
 
-    sim.at(1'000, [&] { tx.transmit(to_bytes("one")); });
-    // Distant churn between the two transmissions.
-    sim.at(10'000, [&] { far1.set_position({50'020.0, 50'000.0}); });
-    sim.at(11'000, [&] { far2.set_position({50'030.0, 50'010.0}); });
-    sim.at(20'000, [&] { tx.transmit(to_bytes("two")); });
-    sim.run();
-    return medium.plan_rebuilds();
-  };
+  sim.at(1'000, [&] { tx.transmit(to_bytes("one")); });
+  // Distant churn between the two transmissions.
+  sim.at(10'000, [&] { far1.set_position({50'020.0, 50'000.0}); });
+  sim.at(11'000, [&] { far2.set_position({50'030.0, 50'010.0}); });
+  sim.at(20'000, [&] { tx.transmit(to_bytes("two")); });
+  sim.run();
+  // One build for the sender, still valid after the far churn.
+  EXPECT_EQ(medium.plan_rebuilds(), 1u);
+}
 
-  // Grid: one build for the sender, still valid after far churn.
-  EXPECT_EQ(rebuilds_after_far_churn(true), 1u);
-  // Flat: the same churn costs a rebuild (world epoch moved).
-  EXPECT_EQ(rebuilds_after_far_churn(false), 2u);
+// Each cell reaches its neighborhood through an index array: cells
+// created after (0, 0) must patch themselves into its array, and fill their
+// own from the cells already there. A hub in (0, 0) and one radio just
+// across each of its eight edges and corners must hear each other.
+TEST(Grid, NeighborIndicesCoverCellsCreatedLater) {
+  sim::Simulator sim{23};
+  Medium medium(sim);
+  const double half = medium.grid_cell_size_m() / 2.0;
+  Radio hub(medium, "hub");
+  hub.set_position({half, half});  // centre of cell (0, 0), created first
+  std::map<std::string, int> hub_heard;
+  hub.set_receive_handler([&hub_heard](util::ByteView f, const phy::RxInfo&) {
+    ++hub_heard[std::string(f.begin(), f.end())];
+  });
+
+  std::deque<Radio> ring;
+  std::vector<int> ring_heard(8, 0);
+  for (int k = 0; k < 9; ++k) {
+    if (k == 4) continue;  // the hub's own cell
+    const int dx = k % 3 - 1;
+    const int dy = k / 3 - 1;
+    const std::size_t idx = ring.size();
+    Radio& r = ring.emplace_back(medium, "n" + std::to_string(k));
+    r.set_position({half + dx * (half + 1.0), half + dy * (half + 1.0)});
+    ASSERT_EQ(medium.grid_coords(r.position()), std::make_pair(dx, dy));
+    r.set_receive_handler([&ring_heard, idx](util::ByteView f, const phy::RxInfo&) {
+      if (std::string(f.begin(), f.end()) == "hub") ++ring_heard[idx];
+    });
+  }
+  for (int t = 0; t < 20; ++t) {
+    const sim::Time at = static_cast<sim::Time>(t) * 10'000;
+    sim.at(at, [&hub] { hub.transmit(to_bytes("hub")); });
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      sim.at(at + (i + 1) * 1'000,
+             [&ring, i] { ring[i].transmit(to_bytes(ring[i].name())); });
+    }
+  }
+  sim.run();
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_GT(ring_heard[i], 0) << ring[i].name() << " never heard the hub";
+    EXPECT_GT(hub_heard[ring[i].name()], 0) << "hub never heard " << ring[i].name();
+  }
 }
 
 // Movement *inside* the neighborhood must still invalidate.
 TEST(Grid, NearbyMovementInvalidatesPlan) {
   sim::Simulator sim{9};
-  Medium medium(sim, grid_config());
+  Medium medium(sim);
   Radio tx(medium, "tx");
   Radio rx(medium, "rx");
   rx.set_position({5.0, 0.0});
@@ -293,13 +304,11 @@ TEST(Grid, NearbyMovementInvalidatesPlan) {
 
 // Regression for the deliver_late() re-validation: a frame held back by
 // transport chaos must not land on a receiver that migrated out of the
-// sender's 3x3 neighborhood while the frame was in flight. (The flat
-// medium has no such notion — only channel and liveness gate the late
-// delivery there.)
+// sender's 3x3 neighborhood while the frame was in flight.
 TEST(Grid, ChaosDelayedFrameDroppedAfterCellMigration) {
   const auto run_once = [](bool migrate) {
     sim::Simulator sim{17};
-    Medium medium(sim, grid_config());
+    Medium medium(sim);
     medium.set_reorder(1.0);  // every delivery goes through deliver_late
     Radio tx(medium, "tx");
     Radio rx(medium, "rx");
@@ -326,21 +335,19 @@ TEST(Grid, ChaosDelayedFrameDroppedAfterCellMigration) {
 
 // ---- Metro world --------------------------------------------------------
 
-scenario::MetroConfig small_metro(std::size_t rogues, bool grid) {
+scenario::MetroConfig small_metro(std::size_t rogues) {
   scenario::MetroConfig cfg;
   cfg.ap_cols = 3;
   cfg.ap_rows = 2;
   cfg.sta_count = 96;
   cfg.rogue_count = rogues;
   cfg.episode_duration = 6 * sim::kSecond;
-  cfg.spatial_grid = grid;
   return cfg;
 }
 
 // The metro sweep report must be byte-identical across worker counts —
 // the CI smoke runs the stock ladder; this covers the machinery at unit
-// scale (including a flat variant, so both delivery geometries are under
-// the determinism contract).
+// scale.
 TEST(Metro, ReportBytesIdenticalAcrossJobs) {
   const auto run_once = [](std::size_t jobs) {
     SweepConfig cfg;
@@ -350,16 +357,12 @@ TEST(Metro, ReportBytesIdenticalAcrossJobs) {
     cfg.jobs = jobs;
     ExperimentRunner exp(cfg);
     for (const std::size_t rogues : {std::size_t{0}, std::size_t{2}}) {
-      const auto mk = small_metro(rogues, true);
+      const auto mk = small_metro(rogues);
       exp.add_variant(rogues == 0 ? "baseline" : "twin",
                       [mk](std::uint64_t) {
                         return std::make_unique<scenario::MetroWorld>(mk);
                       });
     }
-    const auto flat = small_metro(2, false);
-    exp.add_variant("twin-flat", [flat](std::uint64_t) {
-      return std::make_unique<scenario::MetroWorld>(flat);
-    });
     return exp.run().to_json().dump(2);
   };
 
@@ -374,7 +377,7 @@ TEST(Metro, ReportBytesIdenticalAcrossJobs) {
 // real associations (network promiscuity at scale), while a rogue-free
 // world shows none; and the population mostly ends up associated.
 TEST(Metro, EvilTwinsAttractPromiscuousAssociations) {
-  scenario::MetroWorld benign(small_metro(0, true));
+  scenario::MetroWorld benign(small_metro(0));
   benign.configure(1);
   benign.run_episode();
   const auto base = benign.collect_metrics();
@@ -383,7 +386,7 @@ TEST(Metro, EvilTwinsAttractPromiscuousAssociations) {
   EXPECT_GT(base.metro_assoc_fraction, 0.5);
   EXPECT_GT(base.metro_associations, 0u);
 
-  scenario::MetroWorld hostile(small_metro(4, true));
+  scenario::MetroWorld hostile(small_metro(4));
   hostile.configure(1);
   hostile.run_episode();
   const auto twin = hostile.collect_metrics();
@@ -394,10 +397,9 @@ TEST(Metro, EvilTwinsAttractPromiscuousAssociations) {
 // The stock ladders resolve and expose the acceptance-scale city config.
 TEST(Metro, StockVariantsRegistered) {
   const auto metro = runner::stock_variants("metro", 0.0);
-  ASSERT_EQ(metro.size(), 3u);
+  ASSERT_EQ(metro.size(), 2u);
   EXPECT_EQ(metro[0].name, "baseline");
   EXPECT_EQ(metro[1].name, "evil-twin");
-  EXPECT_EQ(metro[2].name, "flat-ref");
 
   const auto city = runner::stock_variants("metro-city", 0.0);
   ASSERT_EQ(city.size(), 1u);

@@ -201,7 +201,7 @@ TEST(Scenarios, StockRegistryKnowsAllLadders) {
   EXPECT_EQ(stock_variants("corp-chaos").size(), 2u);
   EXPECT_EQ(stock_variants("hotspot-chaos").size(), 2u);
   EXPECT_EQ(stock_variants("corp-transport").size(), 8u);
-  EXPECT_EQ(stock_variants("metro").size(), 3u);
+  EXPECT_EQ(stock_variants("metro").size(), 2u);
   EXPECT_EQ(stock_variants("metro-city").size(), 1u);
   EXPECT_TRUE(stock_variants("nope").empty());
   const auto names = known_scenarios();
