@@ -51,7 +51,7 @@ Observation run_trial(std::uint64_t seed, bool rogue, bool deauth,
   world.run_for(12 * sim::kSecond);
 
   // Generate some victim traffic so the air is not idle.
-  world.download([](const apps::DownloadOutcome&) {});
+  world.kit().download([](const apps::DownloadOutcome&) {});
   world.run_for(10 * sim::kSecond);
 
   detect::SiteAudit audit({{"CORP", world.legit_bssid(), cfg.legit_channel}});

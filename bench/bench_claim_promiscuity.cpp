@@ -33,14 +33,14 @@ VisitOutcome visit_hotspot(std::uint64_t seed, bool hostile, bool use_vpn) {
 
   if (use_vpn) {
     bool ok = false;
-    world.connect_vpn([&](bool r) { ok = r; });
+    world.kit().connect_vpn([&](bool r) { ok = r; });
     world.run_for(10 * sim::kSecond);
     if (!ok) return {};  // VPN policy: no tunnel, no traffic
   }
 
   apps::DownloadOutcome outcome;
   bool done = false;
-  world.download([&](const apps::DownloadOutcome& o) {
+  world.kit().download([&](const apps::DownloadOutcome& o) {
     outcome = o;
     done = true;
   });
@@ -51,7 +51,7 @@ VisitOutcome visit_hotspot(std::uint64_t seed, bool hostile, bool use_vpn) {
   v.usable = true;
   // The client installs anything whose checksum verifies.
   v.compromised = outcome.md5_verified &&
-                  outcome.fetched_md5_hex == world.trojan_md5();
+                  outcome.fetched_md5_hex == world.kit().trojan_md5();
   return v;
 }
 

@@ -62,7 +62,7 @@ Outcome run_trial(std::uint64_t seed, dot11::SecurityMode mode) {
 
   apps::DownloadOutcome dl;
   bool done = false;
-  world.download([&](const apps::DownloadOutcome& o) {
+  world.kit().download([&](const apps::DownloadOutcome& o) {
     dl = o;
     done = true;
   });
@@ -70,7 +70,7 @@ Outcome run_trial(std::uint64_t seed, dot11::SecurityMode mode) {
   if (!done || !dl.file_fetched) return out;
 
   out.usable = true;
-  out.deceived = dl.md5_verified && dl.fetched_md5_hex == world.trojan_md5();
+  out.deceived = dl.md5_verified && dl.fetched_md5_hex == world.kit().trojan_md5();
   out.outsider_plaintext = readable;
   return out;
 }

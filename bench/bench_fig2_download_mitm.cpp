@@ -47,7 +47,7 @@ Outcome run_download_trial(std::uint64_t seed, bool attack, bool rewrite_link,
 
   apps::DownloadOutcome outcome;
   bool done = false;
-  world.download([&](const apps::DownloadOutcome& o) {
+  world.kit().download([&](const apps::DownloadOutcome& o) {
     outcome = o;
     done = true;
   });
@@ -56,7 +56,7 @@ Outcome run_download_trial(std::uint64_t seed, bool attack, bool rewrite_link,
 
   Outcome r;
   r.fetched = true;
-  r.trojaned = outcome.fetched_md5_hex == world.trojan_md5();
+  r.trojaned = outcome.fetched_md5_hex == world.kit().trojan_md5();
   r.verified = outcome.md5_verified;
   r.deceived = r.trojaned && r.verified;
   return r;

@@ -59,14 +59,14 @@ Outcome run_trial(std::uint64_t seed, bool use_vpn, vpn::Transport transport) {
 
   if (use_vpn) {
     bool ok = false;
-    world.connect_vpn([&](bool r) { ok = r; });
+    world.kit().connect_vpn([&](bool r) { ok = r; });
     world.run_for(10 * sim::kSecond);
     if (!ok) return {};
   }
 
   apps::DownloadOutcome outcome;
   bool done = false;
-  world.download([&](const apps::DownloadOutcome& o) {
+  world.kit().download([&](const apps::DownloadOutcome& o) {
     outcome = o;
     done = true;
   });
@@ -75,7 +75,7 @@ Outcome run_trial(std::uint64_t seed, bool use_vpn, vpn::Transport transport) {
 
   Outcome r;
   r.usable = true;
-  r.trojaned = outcome.fetched_md5_hex == world.trojan_md5();
+  r.trojaned = outcome.fetched_md5_hex == world.kit().trojan_md5();
   r.verified = outcome.md5_verified;
   r.rogue_plaintext_bytes = http_bytes;
   r.netsed_connections = world.rogue()->netsed().stats().connections;
@@ -177,7 +177,7 @@ int main() {
 
     bool ok = true;
     bool done = false;
-    world.connect_vpn([&](bool r) {
+    world.kit().connect_vpn([&](bool r) {
       ok = r;
       done = true;
     });

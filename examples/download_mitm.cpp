@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   std::printf("[4] victim browses to http://%s/download.html ...\n",
               world.addr().web_server.to_string().c_str());
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
 
   std::printf("\n--- victim's experience ------------------------------------\n");
@@ -78,10 +78,10 @@ int main(int argc, char** argv) {
               outcome.md5_verified ? "OK — \"download completed safely\"" : "MISMATCH");
 
   std::printf("\n--- ground truth --------------------------------------------\n");
-  std::printf("  genuine release MD5:     %s\n", world.release_md5().c_str());
-  std::printf("  trojaned build MD5:      %s\n", world.trojan_md5().c_str());
+  std::printf("  genuine release MD5:     %s\n", world.kit().release_md5().c_str());
+  std::printf("  trojaned build MD5:      %s\n", world.kit().trojan_md5().c_str());
   std::printf("  victim installed:        %s\n",
-              outcome.fetched_md5_hex == world.trojan_md5()
+              outcome.fetched_md5_hex == world.kit().trojan_md5()
                   ? "THE TROJAN (attack succeeded)"
                   : "the genuine release");
   std::printf("  netsed: %llu connection(s) proxied, %llu replacement(s)\n",

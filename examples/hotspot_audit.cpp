@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
               world.victim_on_rogue() ? "yes" : "no");
 
   // The victim browses, so the rogue's uplink traffic crosses the wire.
-  world.download([](const apps::DownloadOutcome&) {});
+  world.kit().download([](const apps::DownloadOutcome&) {});
   world.run_for(30 * sim::kSecond);
 
   // --- Radio site audit -------------------------------------------------------

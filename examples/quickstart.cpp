@@ -24,7 +24,7 @@ void report(const char* label, const apps::DownloadOutcome& outcome,
   std::printf("  checksum check: %s\n",
               outcome.md5_verified ? "PASSED (victim reassured)" : "FAILED");
   std::printf("  served from:    %s\n", outcome.fetched_from.to_string().c_str());
-  const bool trojaned = outcome.fetched_md5_hex == world.trojan_md5();
+  const bool trojaned = outcome.fetched_md5_hex == world.kit().trojan_md5();
   std::printf("  verdict:        %s\n",
               trojaned ? "*** TROJANED BINARY INSTALLED ***"
                        : "genuine release");
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                 world.victim_sta().associated() ? "yes" : "no");
 
     apps::DownloadOutcome outcome;
-    world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+    world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
     world.run_for(30 * sim::kSecond);
     report("Baseline (no attack)", outcome, world);
   }
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                 world.victim_on_rogue() ? "yes" : "no");
 
     apps::DownloadOutcome outcome;
-    world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+    world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
     world.run_for(60 * sim::kSecond);
     report("Figure 2: download MITM", outcome, world);
     std::printf("  netsed rewrites: %llu\n",
@@ -86,13 +86,13 @@ int main(int argc, char** argv) {
     world.run_capture_phase();
 
     bool vpn_ok = false;
-    world.connect_vpn([&](bool ok) { vpn_ok = ok; });
+    world.kit().connect_vpn([&](bool ok) { vpn_ok = ok; });
     world.run_for(10 * sim::kSecond);
     std::printf("\nVPN tunnel (victim -> trusted wired endpoint): %s\n",
                 vpn_ok ? "established, endpoint authenticated" : "FAILED");
 
     apps::DownloadOutcome outcome;
-    world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+    world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
     world.run_for(60 * sim::kSecond);
     report("Figure 3: same attack, with VPN", outcome, world);
     std::printf("  flows seen by rogue's netsed: %llu\n",

@@ -52,27 +52,27 @@ int main(int argc, char** argv) {
               world.addr().vpn_endpoint.to_string().c_str(),
               world.addr().vpn_port);
   bool vpn_ok = false;
-  world.connect_vpn([&](bool ok) { vpn_ok = ok; });
+  world.kit().connect_vpn([&](bool ok) { vpn_ok = ok; });
   world.run_for(10 * sim::kSecond);
   std::printf("      established:            %s\n", vpn_ok ? "yes" : "NO");
   std::printf("      endpoint authenticated: %s (PSK transcript MAC)\n",
-              world.victim_tunnel()->server_authenticated() ? "yes" : "no");
+              world.kit().tunnel()->server_authenticated() ? "yes" : "no");
   std::printf("      tunnel address:         %s\n",
-              world.victim_tunnel()->tunnel_ip().to_string().c_str());
+              world.kit().tunnel()->tunnel_ip().to_string().c_str());
   std::printf("      default route now via:  tun0 (ALL traffic, per §5.2 req. 4)\n");
 
   std::printf("[3] victim downloads through the hostile path...\n");
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
 
   std::printf("\n--- results -------------------------------------------------\n");
   std::printf("  downloaded MD5:            %s\n", outcome.fetched_md5_hex.c_str());
-  std::printf("  genuine release MD5:       %s\n", world.release_md5().c_str());
+  std::printf("  genuine release MD5:       %s\n", world.kit().release_md5().c_str());
   std::printf("  checksum verification:     %s\n",
               outcome.md5_verified ? "OK" : "MISMATCH");
   std::printf("  binary is genuine:         %s\n",
-              outcome.fetched_md5_hex == world.release_md5() ? "YES" : "no");
+              outcome.fetched_md5_hex == world.kit().release_md5() ? "YES" : "no");
   std::printf("  rogue netsed connections:  %llu (nothing to grab)\n",
               static_cast<unsigned long long>(
                   world.rogue()->netsed().stats().connections));
@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(http_plaintext_bytes));
   std::printf("  VPN records sealed/opened: %llu / %llu\n",
               static_cast<unsigned long long>(
-                  world.victim_tunnel()->counters().records_out),
+                  world.kit().tunnel()->counters().records_out),
               static_cast<unsigned long long>(
-                  world.victim_tunnel()->counters().records_in));
+                  world.kit().tunnel()->counters().records_in));
   return 0;
 }

@@ -118,11 +118,9 @@ class FaultTarget {
   virtual void fault_link(bool down) = 0;
   virtual void fault_deauth_storm(bool active) = 0;
   // Transport-chaos hooks carry the strongest active severity (0 = off).
-  // Default no-ops: worlds that predate these kinds — and test fakes —
-  // keep compiling; the kinds are opt-in anyway.
-  virtual void fault_reorder(double /*probability*/) {}
-  virtual void fault_duplicate(double /*probability*/) {}
-  virtual void fault_jitter(double /*max_ms*/) {}
+  virtual void fault_reorder(double probability) = 0;
+  virtual void fault_duplicate(double probability) = 0;
+  virtual void fault_jitter(double max_ms) = 0;
 };
 
 /// Schedules a Plan's begin/end transitions on the simulator and folds

@@ -20,34 +20,46 @@ scenario::CorpConfig corp_attack_config() {
   return cfg;
 }
 
-Variant corp_variant(std::string name, scenario::CorpConfig cfg) {
+Variant variant(std::string name, scenario::CorpConfig cfg) {
   return Variant{std::move(name), [cfg](std::uint64_t) {
                    return std::make_unique<scenario::CorpWorld>(cfg);
                  }};
 }
 
-Variant hotspot_variant(std::string name, scenario::HotspotConfig cfg) {
+Variant variant(std::string name, scenario::HotspotConfig cfg) {
   return Variant{std::move(name), [cfg](std::uint64_t) {
                    return std::make_unique<scenario::HotspotWorld>(cfg);
                  }};
 }
 
-Variant metro_variant(std::string name, scenario::MetroConfig cfg) {
+Variant variant(std::string name, scenario::MetroConfig cfg) {
   return Variant{std::move(name), [cfg](std::uint64_t) {
                    return std::make_unique<scenario::MetroWorld>(cfg);
                  }};
 }
 
-void apply_faults(scenario::CorpConfig& cfg, double intensity) {
+void apply_faults(scenario::EpisodeConfig& cfg, double intensity) {
   if (intensity <= 0.0) return;
   cfg.inject_faults = true;
   cfg.faults.intensity = intensity;
 }
 
-void apply_faults(scenario::HotspotConfig& cfg, double intensity) {
-  if (intensity <= 0.0) return;
-  cfg.inject_faults = true;
-  cfg.faults.intensity = intensity;
+/// Chaos ladder over `base`: a robustness study, not an attack study — a
+/// tunnelled download while the infrastructure misbehaves underneath it,
+/// undefended (one-shot tunnel, fail open) vs defended (keepalive/DPD +
+/// reconnect).
+template <typename Config>
+std::vector<Variant> chaos_ladder(Config base, double fault_intensity) {
+  base.use_vpn = true;
+  base.vpn_window = 5 * sim::kSecond;
+  base.download_window = 45 * sim::kSecond;
+  apply_faults(base, fault_intensity > 0.0 ? fault_intensity : 1.0);
+
+  std::vector<Variant> variants;
+  variants.push_back(variant("chaos-undefended", base));
+  base.vpn_auto_reconnect = true;
+  variants.push_back(variant("chaos-defended", base));
+  return variants;
 }
 
 }  // namespace
@@ -57,26 +69,26 @@ std::vector<Variant> corp_variants(double fault_intensity) {
 
   scenario::CorpConfig baseline;  // no attack, plain download
   apply_faults(baseline, fault_intensity);
-  variants.push_back(corp_variant("baseline", baseline));
+  variants.push_back(variant("baseline", baseline));
 
   scenario::CorpConfig rogue = corp_attack_config();  // Figure 2
   rogue.deploy_rogue = true;
   apply_faults(rogue, fault_intensity);
-  variants.push_back(corp_variant("rogue", rogue));
+  variants.push_back(variant("rogue", rogue));
 
   scenario::CorpConfig forced = corp_attack_config();  // §4 + §2.3
   forced.deploy_rogue = true;
   forced.deauth_forcing = true;
   forced.enable_detection = true;
   apply_faults(forced, fault_intensity);
-  variants.push_back(corp_variant("rogue+deauth", forced));
+  variants.push_back(variant("rogue+deauth", forced));
 
   scenario::CorpConfig vpn = corp_attack_config();  // Figure 3
   vpn.deploy_rogue = true;
   vpn.deauth_forcing = true;
   vpn.use_vpn = true;
   apply_faults(vpn, fault_intensity);
-  variants.push_back(corp_variant("vpn", vpn));
+  variants.push_back(variant("vpn", vpn));
 
   return variants;
 }
@@ -86,65 +98,30 @@ std::vector<Variant> hotspot_variants(double fault_intensity) {
 
   scenario::HotspotConfig benign;
   apply_faults(benign, fault_intensity);
-  variants.push_back(hotspot_variant("benign", benign));
+  variants.push_back(variant("benign", benign));
 
   scenario::HotspotConfig hostile;
   hostile.hostile = true;
   apply_faults(hostile, fault_intensity);
-  variants.push_back(hotspot_variant("hostile", hostile));
+  variants.push_back(variant("hostile", hostile));
 
   scenario::HotspotConfig defended;
   defended.hostile = true;
   defended.use_vpn = true;
   apply_faults(defended, fault_intensity);
-  variants.push_back(hotspot_variant("hostile+vpn", defended));
+  variants.push_back(variant("hostile+vpn", defended));
 
   return variants;
 }
 
 std::vector<Variant> corp_chaos_variants(double fault_intensity) {
-  if (fault_intensity <= 0.0) fault_intensity = 1.0;
-
-  // Robustness study, not an attack study: no rogue, just a tunnelled
-  // download while the infrastructure misbehaves underneath it.
-  scenario::CorpConfig base;
-  base.use_vpn = true;
-  base.vpn_window = 5 * sim::kSecond;
-  base.download_window = 45 * sim::kSecond;
-  base.inject_faults = true;
-  base.faults.intensity = fault_intensity;
-
-  std::vector<Variant> variants;
-  scenario::CorpConfig undefended = base;  // one-shot tunnel, fail open
-  variants.push_back(corp_variant("chaos-undefended", undefended));
-
-  scenario::CorpConfig defended = base;  // keepalive/DPD + reconnect
-  defended.vpn_auto_reconnect = true;
-  variants.push_back(corp_variant("chaos-defended", defended));
-
-  return variants;
+  return chaos_ladder(scenario::CorpConfig{}, fault_intensity);
 }
 
 std::vector<Variant> hotspot_chaos_variants(double fault_intensity) {
-  if (fault_intensity <= 0.0) fault_intensity = 1.0;
-
   scenario::HotspotConfig base;
   base.hostile = true;  // clear packets here cross attacker-owned ground
-  base.use_vpn = true;
-  base.vpn_window = 5 * sim::kSecond;
-  base.download_window = 45 * sim::kSecond;
-  base.inject_faults = true;
-  base.faults.intensity = fault_intensity;
-
-  std::vector<Variant> variants;
-  scenario::HotspotConfig undefended = base;
-  variants.push_back(hotspot_variant("chaos-undefended", undefended));
-
-  scenario::HotspotConfig defended = base;
-  defended.vpn_auto_reconnect = true;
-  variants.push_back(hotspot_variant("chaos-defended", defended));
-
-  return variants;
+  return chaos_ladder(base, fault_intensity);
 }
 
 std::vector<Variant> corp_transport_variants(double fault_intensity) {
@@ -174,22 +151,21 @@ std::vector<Variant> corp_transport_variants(double fault_intensity) {
     if (udp) t.vpn_rekey_interval = 5 * sim::kSecond;
 
     scenario::CorpConfig clean = t;
-    variants.push_back(corp_variant(prefix + "-clean", clean));
+    variants.push_back(variant(prefix + "-clean", clean));
 
     scenario::CorpConfig loss5 = t;
     loss5.medium.base_loss_prob = 0.05;
-    variants.push_back(corp_variant(prefix + "-loss5", loss5));
+    variants.push_back(variant(prefix + "-loss5", loss5));
 
     scenario::CorpConfig loss10 = t;
     loss10.medium.base_loss_prob = 0.10;
-    variants.push_back(corp_variant(prefix + "-loss10", loss10));
+    variants.push_back(variant(prefix + "-loss10", loss10));
 
     // Transport chaos: reorder/duplicate/jitter windows plus endpoint
     // outages. Other fault kinds are disabled so the matrix isolates what
     // the record layer (vs the association layer) must absorb.
     scenario::CorpConfig chaos = t;
-    chaos.inject_faults = true;
-    chaos.faults.intensity = fault_intensity;
+    apply_faults(chaos, fault_intensity);
     chaos.faults.ap_outage = false;
     chaos.faults.channel_degrade = false;
     chaos.faults.link_flap = false;
@@ -197,7 +173,7 @@ std::vector<Variant> corp_transport_variants(double fault_intensity) {
     chaos.faults.reorder = true;
     chaos.faults.duplicate = true;
     chaos.faults.jitter = true;
-    variants.push_back(corp_variant(prefix + "-chaos", chaos));
+    variants.push_back(variant(prefix + "-chaos", chaos));
   }
   return variants;
 }
@@ -209,11 +185,11 @@ std::vector<Variant> metro_variants(double /*fault_intensity*/) {
   scenario::MetroConfig base;  // 6x4 APs, 512 STAs
 
   std::vector<Variant> variants;
-  variants.push_back(metro_variant("baseline", base));
+  variants.push_back(variant("baseline", base));
 
   scenario::MetroConfig twin = base;
   twin.rogue_count = 4;
-  variants.push_back(metro_variant("evil-twin", twin));
+  variants.push_back(variant("evil-twin", twin));
   return variants;
 }
 
@@ -228,7 +204,7 @@ std::vector<Variant> metro_city_variants(double /*fault_intensity*/) {
   city.episode_duration = 10 * sim::kSecond;
 
   std::vector<Variant> variants;
-  variants.push_back(metro_variant("city", city));
+  variants.push_back(variant("city", city));
   return variants;
 }
 

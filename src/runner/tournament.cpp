@@ -26,22 +26,28 @@ std::vector<std::string> stock_tournament_detectors() {
 
 namespace {
 
-WorldFactory pair_factory(const TournamentConfig& tc, std::string attacker,
-                          std::string detector) {
-  const sim::Time baseline = tc.baseline_window;
-  const sim::Time attack = tc.attack_window;
+/// One pair's replica: the world with the pair's roster and windows,
+/// traffic from chatter rather than the download.
+template <typename World, typename Config>
+WorldFactory pair_world(Config c, const TournamentConfig& tc,
+                        const std::string& attacker,
+                        const std::string& detector) {
+  c.do_download = false;
+  c.wids_detectors = {detector};
+  c.wids_attacker = attacker;
+  c.wids_baseline_window = tc.baseline_window;
+  c.wids_attack_window = tc.attack_window;
+  return [c](std::uint64_t) -> std::unique_ptr<scenario::World> {
+    return std::make_unique<World>(c);
+  };
+}
+
+WorldFactory pair_factory(const TournamentConfig& tc,
+                          const std::string& attacker,
+                          const std::string& detector) {
   if (tc.scenario == "hotspot") {
-    return [attacker = std::move(attacker), detector = std::move(detector),
-            baseline, attack](std::uint64_t) {
-      scenario::HotspotConfig c;
-      c.do_download = false;  // chatter, not the download, drives traffic
-      c.wids_detectors = {detector};
-      c.wids_attacker = attacker;
-      c.wids_baseline_window = baseline;
-      c.wids_attack_window = attack;
-      return std::unique_ptr<scenario::World>(
-          std::make_unique<scenario::HotspotWorld>(c));
-    };
+    return pair_world<scenario::HotspotWorld>(scenario::HotspotConfig{}, tc,
+                                              attacker, detector);
   }
   if (tc.scenario != "corp") {
     const std::string scenario = tc.scenario;
@@ -49,22 +55,13 @@ WorldFactory pair_factory(const TournamentConfig& tc, std::string attacker,
       throw std::runtime_error("unknown tournament scenario: " + scenario);
     };
   }
-  return [attacker = std::move(attacker), detector = std::move(detector),
-          baseline, attack](std::uint64_t) {
-    scenario::CorpConfig c;
-    // Tournament geometry: the attacker sits close to the victim (strong
-    // signal, distinct RSSI signature vs the distant legit AP) and the
-    // monitor halfway to the AP hears both.
-    c.victim_to_legit_m = 20.0;
-    c.victim_to_rogue_m = 4.0;
-    c.do_download = false;
-    c.wids_detectors = {detector};
-    c.wids_attacker = attacker;
-    c.wids_baseline_window = baseline;
-    c.wids_attack_window = attack;
-    return std::unique_ptr<scenario::World>(
-        std::make_unique<scenario::CorpWorld>(c));
-  };
+  // Tournament geometry: the attacker sits close to the victim (strong
+  // signal, distinct RSSI signature vs the distant legit AP) and the
+  // monitor halfway to the AP hears both.
+  scenario::CorpConfig c;
+  c.victim_to_legit_m = 20.0;
+  c.victim_to_rogue_m = 4.0;
+  return pair_world<scenario::CorpWorld>(c, tc, attacker, detector);
 }
 
 PairSummary summarize_pair(std::string attacker, std::string detector,

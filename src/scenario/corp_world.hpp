@@ -10,42 +10,26 @@
 //                                                        )))  (((
 //      [victim 10.0.0.77]     [rogue gateway: eth1 client + wlan0 "CORP" ch6]
 //
-// Figure 1 = deploy_rogue(); Figure 2 = deploy_rogue() + download();
-// Figure 3 = connect_vpn() + download(). Knobs cover WEP on/off, MAC
-// filtering, join policy, signal geometry, deauth forcing, and the netsed
-// matching mode.
+// Figure 1 = deploy_rogue(); Figure 2 = deploy_rogue() + kit().download();
+// Figure 3 = kit().connect_vpn() + kit().download(). Knobs cover WEP on/off,
+// MAC filtering, join policy, signal geometry, deauth forcing, and the
+// netsed matching mode.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "apps/download.hpp"
 #include "apps/http.hpp"
-#include "attack/attacker.hpp"
-#include "attack/deauth.hpp"
 #include "attack/rogue_gateway.hpp"
-#include "attack/sniffer.hpp"
-#include "detect/detector.hpp"
 #include "detect/seqnum.hpp"
-#include "dot11/ap.hpp"
-#include "faults/fault.hpp"
 #include "dot11/sta.hpp"
-#include "net/host.hpp"
 #include "net/link.hpp"
-#include "phy/medium.hpp"
-#include "scenario/world.hpp"
-#include "sim/simulator.hpp"
-#include "sim/trace.hpp"
-#include "vpn/client.hpp"
-#include "vpn/endpoint.hpp"
+#include "scenario/client_kit.hpp"
 
 namespace rogue::scenario {
 
-struct CorpConfig {
-  std::uint64_t seed = 1;
+struct CorpConfig : EpisodeConfig {
+  CorpConfig() { vpn_psk = util::to_bytes("corp-vpn-preshared-authenticator"); }
 
   // Link-layer "security" (the mechanisms §2.1 shows to be insufficient).
   bool wep = true;
@@ -66,12 +50,6 @@ struct CorpConfig {
 
   dot11::JoinPolicy victim_join_policy = dot11::JoinPolicy::kBestRssi;
 
-  // Radio environment.
-  phy::MediumConfig medium;
-
-  // Download workload.
-  std::size_t release_size = 16 * 1024;
-
   // Attack configuration.
   bool rogue_clones_bssid = true;  ///< Figure 1: same "AP MAC"
   apps::NetsedMode netsed_mode = apps::NetsedMode::kPerSegment;
@@ -82,56 +60,21 @@ struct CorpConfig {
   /// where TCP segments — and therefore netsed's match windows — split).
   net::TcpConfig tcp;
 
-  // VPN configuration.
-  vpn::Transport vpn_transport = vpn::Transport::kTcp;
-  util::Bytes vpn_psk = util::to_bytes("corp-vpn-preshared-authenticator");
+  // VPN record layer.
   /// Anti-replay window width (records) on both tunnel directions.
   std::size_t vpn_replay_window = 1024;
   /// Client-initiated rekey thresholds; 0 disables that trigger.
   std::uint64_t vpn_rekey_records = 0;
   sim::Time vpn_rekey_interval = 0;
 
-  // Episode script (World::run_episode()). Which phases run, and for how
-  // long. Defaults reproduce Figure 2's baseline: no attack, plain
-  // download. Flip the booleans to get Figure 1 (deploy_rogue), Figure 2
+  // Corp phases of the episode script, run between settle and the VPN.
+  // Defaults reproduce Figure 2's baseline: no attack, plain download.
+  // Flip the booleans to get Figure 1 (deploy_rogue), Figure 2
   // (deploy_rogue + do_download) or Figure 3 (use_vpn + do_download).
   bool deploy_rogue = false;
   bool deauth_forcing = false;   ///< §4 forced roam (needs deploy_rogue)
-  bool use_vpn = false;
   bool enable_detection = false; ///< §2.3 sequence-control monitor
-  bool do_download = true;
-  sim::Time settle_time = 3 * sim::kSecond;
   sim::Time capture_window = 15 * sim::kSecond;
-  sim::Time vpn_window = 10 * sim::kSecond;
-  sim::Time download_window = 60 * sim::kSecond;
-  sim::Time deauth_period = 100 * sim::kMillisecond;
-
-  // Chaos (fault injection) episode knobs.
-  /// Generate a seed-derived faults::Plan over the episode windows and
-  /// inject it while the episode runs.
-  bool inject_faults = false;
-  /// Plan shape; horizon == 0 means "derive [settle, episode end) from the
-  /// phase windows above".
-  faults::PlanConfig faults;
-  /// Self-healing VPN client (keepalive/DPD + reconnect with backoff).
-  bool vpn_auto_reconnect = false;
-  /// Tunnel gap policy: fail open (restore the raw default route — exposed
-  /// but connected, measured by Metrics::clear_packets) vs fail closed.
-  bool vpn_fail_open = true;
-  /// Background victim heartbeat during chaos episodes (0 disables). A
-  /// stalled download transmits nothing, so without ambient traffic the
-  /// fail-open exposure meter would read zero by construction.
-  sim::Time chatter_period = 500 * sim::kMillisecond;
-
-  // WIDS tournament episode (attacker×detector pairing). When either
-  // list is non-empty, run_episode() runs the tournament script instead
-  // of the legacy phases: settle, a quiet baseline window (false-positive
-  // territory), then the attacker's window. wids_attacker "none" is the
-  // control row; "" keeps the legacy episode.
-  std::vector<std::string> wids_detectors;
-  std::string wids_attacker;
-  sim::Time wids_baseline_window = 8 * sim::kSecond;
-  sim::Time wids_attack_window = 20 * sim::kSecond;
 };
 
 /// Well-known addresses inside the world.
@@ -146,7 +89,7 @@ struct CorpAddresses {
   std::uint16_t vpn_port = 7000;
 };
 
-class CorpWorld final : public World, private faults::FaultTarget {
+class CorpWorld final : public World {
  public:
   explicit CorpWorld(CorpConfig config = {});
 
@@ -163,6 +106,10 @@ class CorpWorld final : public World, private faults::FaultTarget {
   [[nodiscard]] phy::Medium& medium() { return medium_; }
   [[nodiscard]] const CorpConfig& config() const { return config_; }
   [[nodiscard]] const CorpAddresses& addr() const { return addr_; }
+
+  /// Faults, WIDS, the VPN tunnel, the download workload and the blobs.
+  [[nodiscard]] ClientKit& kit() { return kit_; }
+  [[nodiscard]] const ClientKit& kit() const { return kit_; }
 
   /// Bring up the wired network, legit AP, web site, VPN endpoint, victim.
   void start() override;
@@ -189,38 +136,12 @@ class CorpWorld final : public World, private faults::FaultTarget {
   detect::SeqNumMonitor& enable_detection();
   [[nodiscard]] detect::SeqNumMonitor* detector() { return monitor_.get(); }
 
-  /// Pluggable WIDS: attach a registry detector wired to this world's
-  /// channel plan, AP inventory, monitor position and wired segment.
-  bool attach_detector(std::string_view name) override;
-  /// Pluggable attacker configured against the corporate network ("none"
-  /// arms nothing — the tournament's control row).
-  bool attach_attacker(std::string_view name) override;
-  [[nodiscard]] const std::vector<std::unique_ptr<detect::Detector>>&
-  wids_detectors() const {
-    return detectors_;
+  bool attach_detector(std::string_view name) override {
+    return kit_.attach_detector(name);
   }
-  [[nodiscard]] attack::Attacker* wids_attacker() { return attacker_.get(); }
-  /// The environments the attach hooks hand out (exposed for tests).
-  [[nodiscard]] detect::DetectorEnv detector_env();
-  [[nodiscard]] attack::AttackerEnv attacker_env();
-  /// Tournament script: settle + quiet baseline, then the attack window.
-  void run_wids_episode();
-
-  /// Figure 3: victim tunnels all traffic to the trusted endpoint.
-  void connect_vpn(std::function<void(bool ok)> done);
-  [[nodiscard]] vpn::ClientTunnel* victim_tunnel() { return victim_tunnel_.get(); }
-
-  /// Chaos: generate the seed-derived fault plan over the episode windows
-  /// and schedule it. Called by run_episode() when inject_faults is set.
-  void install_fault_plan();
-  [[nodiscard]] const faults::Injector* fault_injector() const {
-    return injector_.get();
+  bool attach_attacker(std::string_view name) override {
+    return kit_.attach_attacker(name);
   }
-  [[nodiscard]] const TunnelHealth& tunnel_health() const { return health_; }
-
-  /// §4.1 workload: victim fetches the download page, follows the link,
-  /// verifies the MD5SUM.
-  void download(std::function<void(const apps::DownloadOutcome&)> done);
 
   /// Drive the simulation forward.
   void run_for(sim::Time duration) override {
@@ -243,26 +164,12 @@ class CorpWorld final : public World, private faults::FaultTarget {
   /// Is the victim currently associated with the rogue AP (vs the real one)?
   [[nodiscard]] bool victim_on_rogue() const;
 
-  /// The genuine release blob and the attacker's trojan.
-  [[nodiscard]] const util::Bytes& release_blob() const { return release_; }
-  [[nodiscard]] const util::Bytes& trojan_blob() const { return trojan_; }
-  [[nodiscard]] std::string release_md5() const;
-  [[nodiscard]] std::string trojan_md5() const;
-
  private:
   void build_wired();
   void build_wireless();
-  void start_chatter();
-
-  // faults::FaultTarget — how chaos lands on this world's components.
-  void fault_ap(bool down) override;
-  void fault_endpoint(bool down) override;
-  void fault_channel(double extra_loss) override;
-  void fault_link(bool down) override;
-  void fault_deauth_storm(bool active) override;
-  void fault_reorder(double probability) override;
-  void fault_duplicate(double probability) override;
-  void fault_jitter(double max_ms) override;
+  /// The kit's view of this world: victim, legit AP, VPN endpoint, the
+  /// corporate channel plan and where monitors and attackers sit.
+  [[nodiscard]] ClientKit::Topology topology();
 
   CorpConfig config_;
   CorpAddresses addr_;
@@ -271,9 +178,6 @@ class CorpWorld final : public World, private faults::FaultTarget {
   phy::Medium medium_;
   net::Switch corp_lan_;
   net::Switch internet_;
-
-  util::Bytes release_;
-  util::Bytes trojan_;
 
   std::unique_ptr<net::Host> corp_gw_;
   std::unique_ptr<net::Host> web_;
@@ -286,17 +190,10 @@ class CorpWorld final : public World, private faults::FaultTarget {
 
   std::unique_ptr<dot11::Station> victim_sta_;
   std::unique_ptr<net::Host> victim_;
-  std::unique_ptr<vpn::ClientTunnel> victim_tunnel_;
 
   std::unique_ptr<attack::RogueGateway> rogue_;
   std::unique_ptr<attack::DeauthAttacker> deauth_;
   std::unique_ptr<detect::SeqNumMonitor> monitor_;
-  std::vector<std::unique_ptr<detect::Detector>> detectors_;
-  std::unique_ptr<attack::Attacker> attacker_;
-  std::unique_ptr<faults::Injector> injector_;
-  std::unique_ptr<attack::DeauthAttacker> chaos_deauth_;
-  std::shared_ptr<net::UdpSocket> chatter_sock_;
-  TunnelHealth health_;
 
   bool started_ = false;
   bool capture_frames_ = false;
@@ -304,13 +201,10 @@ class CorpWorld final : public World, private faults::FaultTarget {
   // Episode observations, filled in as the scenario unfolds and read by
   // collect_metrics(). "-1 cast to Time" is avoided by optionals.
   std::optional<sim::Time> rogue_deploy_time_;
-  std::optional<sim::Time> wids_attack_start_;
-  bool wids_enabled_ = false;
   std::optional<sim::Time> capture_time_;
-  std::optional<sim::Time> vpn_up_time_;
-  bool vpn_attempted_ = false;
-  bool vpn_ok_ = false;
-  std::optional<apps::DownloadOutcome> outcome_;
+
+  // Last member: destroyed first, while the hosts it taps still exist.
+  ClientKit kit_;
 };
 
 }  // namespace rogue::scenario

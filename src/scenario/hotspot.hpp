@@ -5,61 +5,23 @@
 // and only an always-on VPN to its *home* network protects it everywhere.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "apps/download.hpp"
 #include "apps/http.hpp"
 #include "apps/netsed.hpp"
-#include "attack/attacker.hpp"
-#include "attack/deauth.hpp"
-#include "detect/detector.hpp"
-#include "dot11/ap.hpp"
-#include "faults/fault.hpp"
 #include "dot11/sta.hpp"
-#include "net/host.hpp"
 #include "net/link.hpp"
-#include "phy/medium.hpp"
-#include "scenario/world.hpp"
-#include "sim/simulator.hpp"
-#include "sim/trace.hpp"
-#include "vpn/client.hpp"
-#include "vpn/endpoint.hpp"
+#include "scenario/client_kit.hpp"
 
 namespace rogue::scenario {
 
-struct HotspotConfig {
-  std::uint64_t seed = 1;
-  bool hostile = false;          ///< the hotspot owner tampers with traffic
-  std::size_t release_size = 16 * 1024;
-  vpn::Transport vpn_transport = vpn::Transport::kTcp;
-  util::Bytes vpn_psk = util::to_bytes("home-vpn-preshared-authenticator");
-  phy::MediumConfig medium;
+/// The episode script (World::run_episode()) joins the hotspot, then runs
+/// the EpisodeConfig phases: optionally the home VPN, then the download.
+struct HotspotConfig : EpisodeConfig {
+  HotspotConfig() { vpn_psk = util::to_bytes("home-vpn-preshared-authenticator"); }
 
-  // Episode script (World::run_episode()): join the hotspot, optionally
-  // bring the home VPN up first, then run the download workload.
-  bool use_vpn = false;
-  bool do_download = true;
-  sim::Time settle_time = 3 * sim::kSecond;
-  sim::Time vpn_window = 10 * sim::kSecond;
-  sim::Time download_window = 60 * sim::kSecond;
-
-  // Chaos (fault injection) episode knobs — see CorpConfig for semantics.
-  bool inject_faults = false;
-  faults::PlanConfig faults;
-  bool vpn_auto_reconnect = false;
-  bool vpn_fail_open = true;
-  sim::Time deauth_period = 100 * sim::kMillisecond;
-  sim::Time chatter_period = 500 * sim::kMillisecond;
-
-  // WIDS tournament episode — see CorpConfig for semantics.
-  std::vector<std::string> wids_detectors;
-  std::string wids_attacker;
-  sim::Time wids_baseline_window = 8 * sim::kSecond;
-  sim::Time wids_attack_window = 20 * sim::kSecond;
+  bool hostile = false;  ///< the hotspot owner tampers with traffic
 };
 
 struct HotspotAddresses {
@@ -71,7 +33,7 @@ struct HotspotAddresses {
   std::uint16_t vpn_port = 7000;
 };
 
-class HotspotWorld final : public World, private faults::FaultTarget {
+class HotspotWorld final : public World {
  public:
   explicit HotspotWorld(HotspotConfig config = {});
 
@@ -87,32 +49,24 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   [[nodiscard]] const HotspotAddresses& addr() const { return addr_; }
   [[nodiscard]] const HotspotConfig& config() const { return config_; }
 
+  /// Faults, WIDS, the home VPN tunnel, the download workload and the
+  /// blobs. The hotspot operator (or a visiting auditor) watches its own
+  /// airspace.
+  [[nodiscard]] ClientKit& kit() { return kit_; }
+  [[nodiscard]] const ClientKit& kit() const { return kit_; }
+
   void start() override;
 
   /// Record every radio frame into the trace (pcap export). Call before
   /// start().
   void enable_frame_capture() override { capture_frames_ = true; }
 
-  /// Chaos: generate the seed-derived fault plan over the episode windows
-  /// and schedule it. Called by run_episode() when inject_faults is set.
-  void install_fault_plan();
-  [[nodiscard]] const faults::Injector* fault_injector() const {
-    return injector_.get();
+  bool attach_detector(std::string_view name) override {
+    return kit_.attach_detector(name);
   }
-  [[nodiscard]] const TunnelHealth& tunnel_health() const { return health_; }
-
-  /// Pluggable WIDS hooks — the hotspot operator (or a visiting auditor)
-  /// watches its own airspace. See CorpWorld for semantics.
-  bool attach_detector(std::string_view name) override;
-  bool attach_attacker(std::string_view name) override;
-  [[nodiscard]] detect::DetectorEnv detector_env();
-  [[nodiscard]] attack::AttackerEnv attacker_env();
-  void run_wids_episode();
-
-  /// Client tunnels everything home before doing anything else.
-  void connect_vpn(std::function<void(bool ok)> done);
-  /// The download workload, from the client.
-  void download(std::function<void(const apps::DownloadOutcome&)> done);
+  bool attach_attacker(std::string_view name) override {
+    return kit_.attach_attacker(name);
+  }
 
   void run_for(sim::Time duration) override {
     sim_.run_until(sim_.now() + duration);
@@ -121,20 +75,11 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   [[nodiscard]] net::Host& client() { return *client_; }
   [[nodiscard]] dot11::Station& client_sta() { return *client_sta_; }
   [[nodiscard]] net::Host& hotspot_gw() { return *gw_; }
-  [[nodiscard]] const util::Bytes& release_blob() const { return release_; }
-  [[nodiscard]] const util::Bytes& trojan_blob() const { return trojan_; }
-  [[nodiscard]] std::string release_md5() const;
-  [[nodiscard]] std::string trojan_md5() const;
 
  private:
-  void start_chatter();
-
-  // faults::FaultTarget — how chaos lands on this world's components.
-  void fault_ap(bool down) override;
-  void fault_endpoint(bool down) override;
-  void fault_channel(double extra_loss) override;
-  void fault_link(bool down) override;
-  void fault_deauth_storm(bool active) override;
+  /// The kit's view of this world: client, hotspot AP, home endpoint,
+  /// channel 6 and where monitors and attackers sit.
+  [[nodiscard]] ClientKit::Topology topology();
 
   HotspotConfig config_;
   HotspotAddresses addr_;
@@ -142,9 +87,6 @@ class HotspotWorld final : public World, private faults::FaultTarget {
   sim::Trace trace_;
   phy::Medium medium_;
   net::Switch internet_;
-
-  util::Bytes release_;
-  util::Bytes trojan_;
 
   std::unique_ptr<dot11::AccessPoint> ap_;
   std::unique_ptr<net::Host> gw_;
@@ -158,25 +100,13 @@ class HotspotWorld final : public World, private faults::FaultTarget {
 
   std::unique_ptr<dot11::Station> client_sta_;
   std::unique_ptr<net::Host> client_;
-  std::unique_ptr<vpn::ClientTunnel> tunnel_;
-
-  std::unique_ptr<faults::Injector> injector_;
-  std::unique_ptr<attack::DeauthAttacker> chaos_deauth_;
-  std::vector<std::unique_ptr<detect::Detector>> detectors_;
-  std::unique_ptr<attack::Attacker> attacker_;
-  std::shared_ptr<net::UdpSocket> chatter_sock_;
-  TunnelHealth health_;
 
   bool started_ = false;
   bool capture_frames_ = false;
+  std::optional<sim::Time> join_time_;  ///< capture event when hostile
 
-  // Episode observations for collect_metrics().
-  std::optional<sim::Time> wids_attack_start_;
-  bool wids_enabled_ = false;
-  std::optional<sim::Time> join_time_;
-  std::optional<sim::Time> vpn_up_time_;
-  bool vpn_ok_ = false;
-  std::optional<apps::DownloadOutcome> outcome_;
+  // Last member: destroyed first, while the hosts it taps still exist.
+  ClientKit kit_;
 };
 
 }  // namespace rogue::scenario

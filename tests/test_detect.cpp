@@ -417,7 +417,7 @@ TEST(ChannelPlan, DetectorEnvFollowsWorldChannels) {
   scenario::CorpWorld world(cfg);
   world.configure(5);
   world.start();
-  const DetectorEnv env = world.detector_env();
+  const DetectorEnv env = world.kit().detector_env();
   ASSERT_EQ(env.channels.size(), 2u);
   EXPECT_EQ(env.channels[0], 3);
   EXPECT_EQ(env.channels[1], 9);
@@ -502,12 +502,12 @@ TEST(ReplayAttack, SealedRecordReplayGetsZeroAcceptance) {
   world.start();
   world.run_for(cfg.settle_time);
   bool up = false;
-  world.connect_vpn([&](bool ok) { up = ok; });
+  world.kit().connect_vpn([&](bool ok) { up = ok; });
   world.run_for(cfg.vpn_window);
   ASSERT_TRUE(up);
 
   ASSERT_TRUE(world.attach_attacker("replay"));
-  auto* replayer = dynamic_cast<attack::RecordReplayer*>(world.wids_attacker());
+  auto* replayer = dynamic_cast<attack::RecordReplayer*>(world.kit().wids_attacker());
   ASSERT_NE(replayer, nullptr);
   const std::uint64_t handshakes =
       world.vpn_endpoint().counters().sessions_established;
@@ -518,14 +518,14 @@ TEST(ReplayAttack, SealedRecordReplayGetsZeroAcceptance) {
   EXPECT_GT(replayer->frames_captured(), 0u);
   EXPECT_GT(replayer->frames_replayed(), 0u);
   const vpn::EndpointCounters& e = world.vpn_endpoint().counters();
-  const vpn::ClientCounters& c = world.victim_tunnel()->counters();
+  const vpn::ClientCounters& c = world.kit().tunnel()->counters();
   // Zero acceptance: every forwarded duplicate lands in the replay bucket,
   // never in records_in as fresh traffic; none authenticates a roam.
   EXPECT_GT(e.records_replayed + c.records_replayed, 0u);
   EXPECT_EQ(e.records_auth_fail, 0u);
   EXPECT_EQ(e.roams, 0u);
   // The session itself shrugs it off: still up, no re-handshake.
-  EXPECT_TRUE(world.victim_tunnel()->established());
+  EXPECT_TRUE(world.kit().tunnel()->established());
   EXPECT_EQ(e.sessions_established, handshakes);
   EXPECT_EQ(c.dead_peer_events, 0u);
 }

@@ -158,10 +158,10 @@ TEST(Eap, FullRogueAttackDefeated) {
   EXPECT_FALSE(world.victim_on_rogue());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
   EXPECT_TRUE(outcome.md5_verified);
 }
 

@@ -2,7 +2,8 @@
 // semantics (overlap collapse, degrade max-severity), and end-to-end
 // recovery — VPN client reconnecting across an endpoint crash, station
 // rescan backoff across an AP outage, and TCP's retransmission machinery
-// under scripted burst loss on the radio medium.
+// under scripted burst loss on the radio medium — and fault routing: every
+// fault kind reaches its component in every client world.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +12,7 @@
 #include "faults/fault.hpp"
 #include "net/tcp.hpp"
 #include "scenario/corp_world.hpp"
+#include "scenario/hotspot.hpp"
 #include "sim/simulator.hpp"
 #include "util/prng.hpp"
 
@@ -160,6 +162,9 @@ class RecordingTarget final : public FaultTarget {
   void fault_reorder(double probability) override {
     log.push_back("ro:" + std::to_string(probability).substr(0, 4));
   }
+  void fault_duplicate(double probability) override {
+    log.push_back("dup:" + std::to_string(probability).substr(0, 4));
+  }
   void fault_jitter(double max_ms) override {
     log.push_back("jit:" + std::to_string(max_ms).substr(0, 4));
   }
@@ -250,19 +255,19 @@ TEST(Recovery, VpnClientReconnectsAfterEndpointCrash) {
   world.run_for(3 * sim::kSecond);
 
   bool initial_ok = false;
-  world.connect_vpn([&](bool ok) { initial_ok = ok; });
+  world.kit().connect_vpn([&](bool ok) { initial_ok = ok; });
   world.run_for(3 * sim::kSecond);
   ASSERT_TRUE(initial_ok);
-  ASSERT_TRUE(world.victim_tunnel()->established());
+  ASSERT_TRUE(world.kit().tunnel()->established());
 
   world.vpn_endpoint().stop();
   world.run_for(8 * sim::kSecond);  // DPD fires, reconnects fail, backoff
-  EXPECT_FALSE(world.victim_tunnel()->established());
-  EXPECT_TRUE(world.tunnel_health().gap_open());
+  EXPECT_FALSE(world.kit().tunnel()->established());
+  EXPECT_TRUE(world.kit().tunnel_health().gap_open());
 
   world.vpn_endpoint().start();
   world.run_for(12 * sim::kSecond);  // backoff is capped at 8s
-  EXPECT_TRUE(world.victim_tunnel()->established());
+  EXPECT_TRUE(world.kit().tunnel()->established());
 
   const Metrics m = world.collect_metrics();
   EXPECT_TRUE(m.vpn_established);
@@ -347,6 +352,129 @@ TEST(Recovery, TcpRidesOutBurstLossOnTheMedium) {
   EXPECT_GE(stats.rto_events, 2u);
   EXPECT_GE(stats.fast_retransmits, 1u);
   EXPECT_GT(stats.retransmits, stats.fast_retransmits);
+}
+
+// ---- Fault routing -------------------------------------------------------
+
+/// What each fault kind disturbs, read through const views only.
+struct Probe {
+  std::uint64_t beacons = 0;
+  std::uint64_t deauths = 0;
+  double loss = 0.0;
+  double reorder = 0.0;
+  double duplicate = 0.0;
+  double jitter = 0.0;
+  bool endpoint_running = false;
+  bool link_up = false;
+};
+
+Probe probe(const ClientKit& kit, const dot11::Station& sta) {
+  Probe p;
+  p.beacons = kit.ap().counters().beacons_sent;
+  p.deauths = sta.counters().deauths_received;
+  p.loss = kit.medium().loss_override();
+  p.reorder = kit.medium().reorder();
+  p.duplicate = kit.medium().duplicate();
+  p.jitter = kit.medium().jitter_ms();
+  p.endpoint_running = kit.endpoint().running();
+  for (const auto& iface : kit.endpoint_host().interfaces()) {
+    if (iface->name() == "eth0") p.link_up = iface->admin_up();
+  }
+  return p;
+}
+
+/// Enables one fault kind at a time in a fresh world and checks that its
+/// target changed mid-window and (except the deauth storm, whose damage
+/// is done) recovered after it. A hook that silently does nothing fails.
+template <typename W, typename Config>
+void expect_every_fault_kind_lands(Config base,
+                                   dot11::Station& (W::*client_sta)()) {
+  for (std::uint8_t k = 0; k < faults::kFaultKindCount; ++k) {
+    const auto kind = static_cast<faults::FaultKind>(k);
+    SCOPED_TRACE(faults::to_string(kind));
+    Config cfg = base;
+    cfg.do_download = false;
+    faults::PlanConfig& plan = cfg.faults;
+    plan.start = 4 * sim::kSecond;
+    plan.horizon = 6 * sim::kSecond;
+    plan.min_duration = plan.max_duration = sim::kSecond;
+    plan.ap_outage = kind == faults::FaultKind::kApOutage;
+    plan.channel_degrade = kind == faults::FaultKind::kChannelDegrade;
+    plan.endpoint_outage = kind == faults::FaultKind::kEndpointOutage;
+    plan.link_flap = kind == faults::FaultKind::kLinkFlap;
+    plan.deauth_storm = kind == faults::FaultKind::kDeauthStorm;
+    plan.reorder = kind == faults::FaultKind::kReorder;
+    plan.duplicate = kind == faults::FaultKind::kDuplicate;
+    plan.jitter = kind == faults::FaultKind::kJitter;
+
+    W world(cfg);
+    world.configure(3);
+    world.start();
+    world.kit().install_fault_plan();
+    const ClientKit& kit = world.kit();
+    const dot11::Station& sta = (world.*client_sta)();
+    ASSERT_NE(kit.fault_injector(), nullptr);
+    ASSERT_EQ(kit.fault_injector()->plan().size(), 1u);
+    const faults::FaultEvent window = kit.fault_injector()->plan().events()[0];
+    ASSERT_EQ(window.kind, kind);
+
+    const auto run_to = [&world](sim::Time t) {
+      world.run_for(t - world.sim().now());
+    };
+    run_to(window.at - sim::kMillisecond);
+    const Probe before = probe(kit, sta);
+    run_to(window.at + window.duration / 4);
+    const Probe quarter = probe(kit, sta);
+    run_to(window.at + window.duration / 2);
+    const Probe mid = probe(kit, sta);
+    run_to(window.at + window.duration + 600 * sim::kMillisecond);
+    const Probe after = probe(kit, sta);
+
+    switch (kind) {
+      case faults::FaultKind::kApOutage:
+        EXPECT_EQ(mid.beacons, quarter.beacons);
+        EXPECT_GT(after.beacons, mid.beacons);
+        break;
+      case faults::FaultKind::kChannelDegrade:
+        EXPECT_GT(mid.loss, 0.0);
+        EXPECT_EQ(after.loss, 0.0);
+        break;
+      case faults::FaultKind::kEndpointOutage:
+        EXPECT_TRUE(before.endpoint_running);
+        EXPECT_FALSE(mid.endpoint_running);
+        EXPECT_TRUE(after.endpoint_running);
+        break;
+      case faults::FaultKind::kLinkFlap:
+        EXPECT_TRUE(before.link_up);
+        EXPECT_FALSE(mid.link_up);
+        EXPECT_TRUE(after.link_up);
+        break;
+      case faults::FaultKind::kDeauthStorm:
+        EXPECT_GT(mid.deauths, before.deauths);
+        break;
+      case faults::FaultKind::kReorder:
+        EXPECT_GT(mid.reorder, 0.0);
+        EXPECT_EQ(after.reorder, 0.0);
+        break;
+      case faults::FaultKind::kDuplicate:
+        EXPECT_GT(mid.duplicate, 0.0);
+        EXPECT_EQ(after.duplicate, 0.0);
+        break;
+      case faults::FaultKind::kJitter:
+        EXPECT_GT(mid.jitter, 0.0);
+        EXPECT_EQ(after.jitter, 0.0);
+        break;
+    }
+  }
+}
+
+TEST(FaultRouting, EveryKindLandsInCorpWorld) {
+  expect_every_fault_kind_lands<CorpWorld>(CorpConfig{}, &CorpWorld::victim_sta);
+}
+
+TEST(FaultRouting, EveryKindLandsInHotspotWorld) {
+  expect_every_fault_kind_lands<HotspotWorld>(HotspotConfig{},
+                                              &HotspotWorld::client_sta);
 }
 
 }  // namespace

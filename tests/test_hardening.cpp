@@ -306,11 +306,11 @@ TEST(WirelessHardening, DownloadSurvivesLossyAir) {
   world.run_for(8 * sim::kSecond);
   ASSERT_TRUE(world.victim_sta().associated());
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(120 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   EXPECT_TRUE(outcome.md5_verified);
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
 }
 
 TEST(WirelessHardening, ApRestartRecoversClients) {

@@ -3,14 +3,18 @@
 // variant registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "runner/metrics.hpp"
 #include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
+#include "runner/tournament.hpp"
 #include "scenario/corp_world.hpp"
 #include "scenario/hotspot.hpp"
 
@@ -435,6 +439,67 @@ TEST(Sweep, ReportBytesPinnedAcrossJobsAndArenaPool) {
   EXPECT_EQ(digest,
             "1ec5dd66eb4dfb64d90616eaa9a9b247eec9c9689a12325ebdc3005112849f73")
       << "sweep report bytes diverged from the pinned golden";
+}
+
+// Report digests of the paths that CorpWorld and HotspotWorld share — the
+// fault plan and chatter, the VPN tunnel with its health and fail-open
+// meter, and the WIDS detector/attacker environments — on the ladders no
+// other pin covers. The digests were captured before that plumbing was
+// factored into scenario::ClientKit, so any byte move is a behaviour
+// change in it.
+std::string stock_digest(std::string_view scenario, double faults,
+                         const std::vector<std::string>& only = {}) {
+  SweepConfig cfg;
+  cfg.scenario = std::string(scenario);
+  cfg.seed_base = 7;
+  cfg.runs = 1;
+  cfg.jobs = 2;
+  ExperimentRunner exp(cfg);
+  for (Variant& v : stock_variants(scenario, faults)) {
+    if (!only.empty() &&
+        std::find(only.begin(), only.end(), v.name) == only.end()) {
+      continue;
+    }
+    exp.add_variant(v.name, std::move(v.make));
+  }
+  const SweepReport report = exp.run();
+  EXPECT_EQ(report.failed_count(), 0u) << scenario;
+  return crypto::sha256_hex(util::to_bytes(report.to_json().dump(2)));
+}
+
+std::string tournament_digest(std::string scenario,
+                              std::vector<std::string> attackers,
+                              std::vector<std::string> detectors) {
+  TournamentConfig tc;
+  tc.scenario = std::move(scenario);
+  tc.attackers = std::move(attackers);
+  tc.detectors = std::move(detectors);
+  tc.seed_base = 7;
+  tc.runs = 1;
+  tc.jobs = 2;
+  const TournamentReport report = run_tournament(tc);
+  EXPECT_EQ(report.failed_count(), 0u) << tc.scenario;
+  return crypto::sha256_hex(util::to_bytes(report.to_json().dump(2)));
+}
+
+TEST(Sweep, WorldPlumbingReportBytesPinned) {
+  EXPECT_EQ(stock_digest("hotspot-chaos", 0.0),
+            "ebd677381c0a09a46ac96b3ff736262a20ccf162ed551f0761d5605c65475a7a");
+  EXPECT_EQ(stock_digest("hotspot", 3.0),
+            "0b0fdbc59817c43364a7448f40e5773d7a1c6613bc1a6a6cd287f0ced4385640");
+  EXPECT_EQ(stock_digest("corp-chaos", 0.0),
+            "c819197f8674917db2e356ec4046de4f1b5e3546991ac78d6c06c0ecbfc67152");
+  EXPECT_EQ(stock_digest("corp-transport", 0.0, {"tcp-chaos", "udp-chaos"}),
+            "4a8262c91ab1bb9281fce121aac4b2ccd2c5c163f240d22ff62fa24eb7a4a3e0");
+  EXPECT_EQ(tournament_digest("hotspot",
+                              {"none", "deauth-flood", "low-slow-deauth",
+                               "cloner"},
+                              {"rssi", "composite"}),
+            "8198f96d0e6e667e979e22c4f3dfaff78c9f179748d8128438047a9ee6275324");
+  // rogue-gateway drives CorpWorld::deploy_rogue through the attacker env.
+  EXPECT_EQ(tournament_digest("corp", {"none", "rogue-gateway", "cloner"},
+                              {"seqnum", "composite"}),
+            "b02cab6aa33866d1ec2a27986c3572584667a331e4845e1fd96ad5ea83beb811");
 }
 
 }  // namespace

@@ -20,11 +20,11 @@ TEST(CorpWorld, BaselineVictimJoinsLegitApAndDownloads) {
   EXPECT_EQ(world.victim_sta().bss().bssid, world.legit_bssid());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(30 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   EXPECT_TRUE(outcome.md5_verified);
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
 }
 
 TEST(CorpWorld, Figure1RogueCapturesNearbyVictim) {
@@ -52,14 +52,14 @@ TEST(CorpWorld, Figure2DownloadMitmForgesChecksum) {
   ASSERT_TRUE(world.victim_on_rogue());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
 
   ASSERT_TRUE(outcome.page_fetched) << outcome.error;
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   // The nefarious part: the victim got the trojan AND the checksum passed.
-  EXPECT_EQ(outcome.fetched_md5_hex, world.trojan_md5());
-  EXPECT_NE(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().trojan_md5());
+  EXPECT_NE(outcome.fetched_md5_hex, world.kit().release_md5());
   EXPECT_TRUE(outcome.md5_verified)
       << "the MD5SUM on the page should have been rewritten to match";
   // And the binary came from the attacker's mirror.
@@ -82,10 +82,10 @@ TEST(CorpWorld, Figure2WithoutCaptureDownloadIsClean) {
   ASSERT_FALSE(world.victim_on_rogue());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(30 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
   EXPECT_TRUE(outcome.md5_verified);
 }
 
@@ -100,22 +100,22 @@ TEST(CorpWorld, Figure3VpnDefeatsDownloadMitm) {
 
   bool vpn_ok = false;
   bool vpn_done = false;
-  world.connect_vpn([&](bool ok) {
+  world.kit().connect_vpn([&](bool ok) {
     vpn_ok = ok;
     vpn_done = true;
   });
   world.run_for(10 * sim::kSecond);
   ASSERT_TRUE(vpn_done);
   ASSERT_TRUE(vpn_ok) << "VPN should establish through the rogue";
-  ASSERT_TRUE(world.victim_tunnel()->server_authenticated());
+  ASSERT_TRUE(world.kit().tunnel()->server_authenticated());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
 
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   // Tunnelled traffic never hits the rogue's netsed: clean download.
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
   EXPECT_TRUE(outcome.md5_verified);
   EXPECT_EQ(world.rogue()->netsed().stats().connections, 0u);
 }
@@ -155,11 +155,11 @@ TEST(CorpWorld, WpaBaselineDownloadVerifies) {
   ASSERT_TRUE(world.victim_sta().ready());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(40 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   EXPECT_TRUE(outcome.md5_verified);
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
 }
 
 TEST(CorpWorld, EapBaselineDownloadVerifies) {
@@ -171,7 +171,7 @@ TEST(CorpWorld, EapBaselineDownloadVerifies) {
   ASSERT_TRUE(world.victim_sta().ready());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(40 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   EXPECT_TRUE(outcome.md5_verified);
@@ -184,11 +184,11 @@ TEST(Hotspot, BenignHotspotDownloadVerifies) {
   ASSERT_TRUE(world.client_sta().associated());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(30 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
   EXPECT_TRUE(outcome.md5_verified);
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
 }
 
 TEST(Hotspot, HostileHotspotTrojansTheDownload) {
@@ -200,10 +200,10 @@ TEST(Hotspot, HostileHotspotTrojansTheDownload) {
   ASSERT_TRUE(world.client_sta().associated());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.trojan_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().trojan_md5());
   EXPECT_TRUE(outcome.md5_verified);  // forged checksum "verifies"
 }
 
@@ -216,15 +216,15 @@ TEST(Hotspot, VpnProtectsAtHostileHotspot) {
   ASSERT_TRUE(world.client_sta().associated());
 
   bool vpn_ok = false;
-  world.connect_vpn([&](bool ok) { vpn_ok = ok; });
+  world.kit().connect_vpn([&](bool ok) { vpn_ok = ok; });
   world.run_for(10 * sim::kSecond);
   ASSERT_TRUE(vpn_ok);
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(60 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
   EXPECT_TRUE(outcome.md5_verified);
 }
 

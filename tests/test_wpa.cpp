@@ -384,10 +384,10 @@ TEST(WpaAttack, RogueWithPskStillCapturesVictim) {
   ASSERT_TRUE(world.victim_on_rogue());
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(90 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.trojan_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().trojan_md5());
   EXPECT_TRUE(outcome.md5_verified);
 }
 
@@ -405,15 +405,15 @@ TEST(WpaAttack, VpnStillProtectsUnderWpa) {
   ASSERT_TRUE(world.victim_on_rogue());
 
   bool vpn_ok = false;
-  world.connect_vpn([&](bool ok) { vpn_ok = ok; });
+  world.kit().connect_vpn([&](bool ok) { vpn_ok = ok; });
   world.run_for(10 * sim::kSecond);
   ASSERT_TRUE(vpn_ok);
 
   apps::DownloadOutcome outcome;
-  world.download([&](const apps::DownloadOutcome& o) { outcome = o; });
+  world.kit().download([&](const apps::DownloadOutcome& o) { outcome = o; });
   world.run_for(90 * sim::kSecond);
   ASSERT_TRUE(outcome.file_fetched) << outcome.error;
-  EXPECT_EQ(outcome.fetched_md5_hex, world.release_md5());
+  EXPECT_EQ(outcome.fetched_md5_hex, world.kit().release_md5());
 }
 
 }  // namespace
