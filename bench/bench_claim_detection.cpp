@@ -6,7 +6,9 @@
 // Table 2: sequence-gap threshold sweep (the detector's only knob):
 //          tighter thresholds flag forgeries faster but risk false
 //          positives under frame loss.
+#include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 
 #include "detect/seqnum.hpp"
 #include "detect/site_audit.hpp"
@@ -115,7 +117,8 @@ int main() {
   std::printf("\nAblation: sequence forward-gap threshold (deauth forgery scenario\n"
               "for detection, benign scenario for false positives):\n");
   util::Table t2({"max forward gap", "detection (forgery)", "false pos (benign)"});
-  for (const std::uint16_t gap : {8, 16, 32, 64, 128, 256}) {
+  for (const std::uint16_t gap :
+       std::initializer_list<std::uint16_t>{8, 16, 32, 64, 128, 256}) {
     const auto attack_runs = bench::run_trials<Observation>(
         kTrials,
         [&](std::uint64_t sd) { return run_trial(sd, false, true, gap); },

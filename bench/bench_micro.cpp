@@ -30,7 +30,6 @@
 #include "net/link.hpp"
 #include "net/tcp.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/prng.hpp"
 
 using namespace rogue;
@@ -497,41 +496,6 @@ void BM_ArenaAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaAcquireRelease);
 
-void BM_TraceRecord(benchmark::State& state) {
-  // Hot-path trace append with an interned tag: the record itself is a
-  // 64-byte POD-ish row and the typical MAC-layer message stays in the
-  // ShortString inline buffer, so appends don't allocate per record.
-  sim::Trace trace;
-  const sim::TagId tag = trace.intern("ap:aa:bb:cc:dd:ee:01");
-  for (auto _ : state) {
-    trace.clear();
-    for (int i = 0; i < 1000; ++i) {
-      trace.record(static_cast<sim::Time>(i), tag,
-                   "assoc aa:bb:cc:dd:ee:77 aid=1");
-    }
-    benchmark::DoNotOptimize(trace.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_TraceRecord);
-
-void BM_TraceRecordLegacy(benchmark::State& state) {
-  // The pre-interning usage pattern every component had: build the tag
-  // string per record (concat + to_string) and pay its heap traffic.
-  sim::Trace trace;
-  const net::MacAddr bssid = net::MacAddr::from_id(0xAABBCCDD01);
-  for (auto _ : state) {
-    trace.clear();
-    for (int i = 0; i < 1000; ++i) {
-      trace.record(static_cast<sim::Time>(i), "ap:" + bssid.to_string(),
-                   "assoc aa:bb:cc:dd:ee:77 aid=1");
-    }
-    benchmark::DoNotOptimize(trace.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_TraceRecordLegacy);
-
 void BM_TracerRecord(benchmark::State& state) {
   // Causal-tracer hot path with the ring enabled: one POD store per
   // record into the preallocated flight-recorder ring, no allocation.
@@ -566,9 +530,11 @@ void BM_TraceDisabled(benchmark::State& state) {
   for (auto _ : state) {
     for (std::uint64_t i = 0; i < 1000; ++i) {
       tracer.instant(name, actor, obs::TraceLayer::kPhy, i | 1, i);
+      // A datapath stores between instants, so it re-reads the enabled
+      // flag on every call; without the clobber the loop folds away.
+      benchmark::ClobberMemory();
     }
     benchmark::DoNotOptimize(tracer.recorded());
-    benchmark::DoNotOptimize(tracer.enabled());
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -2,17 +2,15 @@
 // exact mechanism of §4.1 — proxy-ARP bridging, the Netfilter DNAT rule,
 // and netsed's two string rewrites — narrated with live state dumps.
 //
-//   $ ./download_mitm [--streaming] [--log-level LEVEL]
+//   $ ./download_mitm [--streaming]
 #include <cstdio>
 #include <cstring>
 
 #include "scenario/corp_world.hpp"
-#include "util/logging.hpp"
 
 using namespace rogue;
 
 int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
   const bool streaming = argc > 1 && std::strcmp(argv[1], "--streaming") == 0;
 
   scenario::CorpConfig cfg;

@@ -2,20 +2,18 @@
 // §2.3 techniques — a radio site audit (BSS census vs. inventory), the
 // 802.11 sequence-control monitor, and a wired-side MAC census.
 //
-//   $ ./hotspot_audit [--log-level LEVEL]
+//   $ ./hotspot_audit
 #include <cstdio>
 
 #include "detect/seqnum.hpp"
 #include "detect/site_audit.hpp"
 #include "detect/wired_monitor.hpp"
 #include "scenario/corp_world.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 using namespace rogue;
 
-int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
+int main() {
   std::printf("Rogue AP detection walk-through (paper section 2.3)\n");
   std::printf("----------------------------------------------------\n\n");
 

@@ -3,11 +3,10 @@
 // download get trojaned with a forged MD5SUM (Figure 2) — then repeat
 // with the VPN countermeasure (Figure 3).
 //
-//   $ ./quickstart [--log-level LEVEL]
+//   $ ./quickstart
 #include <cstdio>
 
 #include "scenario/corp_world.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 using namespace rogue;
@@ -32,8 +31,7 @@ void report(const char* label, const apps::DownloadOutcome& outcome,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
+int main() {
   std::printf("Countering Rogues in Wireless Networks — quickstart\n");
   std::printf("---------------------------------------------------\n");
 

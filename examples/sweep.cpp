@@ -19,7 +19,6 @@
 #include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
 #include "runner/tournament.hpp"
-#include "util/logging.hpp"
 
 using namespace rogue;
 
@@ -36,7 +35,6 @@ void usage(const char* argv0) {
       "          [--pcap-out capture.pcap] [--profile]\n"
       "          [--profile-out profile.json]\n"
       "          [--pool-slab N] [--pool-buffer-bytes B] [--pool-poison]\n"
-      "          [--log-level trace|debug|info|warn|error|off]\n"
       "          [--tournament] [--attackers a,b,...] [--detectors d,e,...]\n"
       "          [--wids-baseline-s X] [--wids-attack-s X]\n"
       "\n"
@@ -94,8 +92,6 @@ void usage(const char* argv0) {
       "                (marked nondeterministic; excluded from the\n"
       "                byte-determinism contract, so CI compares traces\n"
       "                produced without profiling)\n"
-      "\n"
-      "ROGUE_LOG sets the default log level; --log-level overrides it.\n"
       "\n"
       "exits 1 when any replica failed (reported under \"failures\" in the\n"
       "JSON report), 2 on usage errors.\n",
@@ -167,7 +163,6 @@ void append_profile_track(util::Json& events, std::uint64_t pid,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
   runner::SweepConfig cfg;
   cfg.runs = 20;
   std::string out_path;

@@ -3,18 +3,16 @@
 // plus the endpoint-authentication property (§5.2) that stops a rogue
 // from simply terminating the VPN itself.
 //
-//   $ ./vpn_defense [--udp] [--log-level LEVEL]
+//   $ ./vpn_defense [--udp]
 #include <cstdio>
 #include <cstring>
 
 #include "attack/sniffer.hpp"
 #include "scenario/corp_world.hpp"
-#include "util/logging.hpp"
 
 using namespace rogue;
 
 int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
   const bool udp = argc > 1 && std::strcmp(argv[1], "--udp") == 0;
 
   scenario::CorpConfig cfg;

@@ -3,7 +3,7 @@
 // paper's §4 step where an outside attacker "retrieved the WEP key via
 // Airsnort and a MAC address that he has observed by sniffing".
 //
-//   $ ./wep_crack [frames] [--log-level LEVEL]
+//   $ ./wep_crack [frames]
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,12 +11,10 @@
 #include "crypto/wep.hpp"
 #include "dot11/frame.hpp"
 #include "util/bytes.hpp"
-#include "util/logging.hpp"
 
 using namespace rogue;
 
 int main(int argc, char** argv) {
-  if (!util::Log::init_from_cli(argc, argv)) return 2;
   std::size_t frames = 8'000'000;
   if (argc > 1) frames = static_cast<std::size_t>(std::strtoull(argv[1], nullptr, 10));
 

@@ -25,7 +25,6 @@
 #include "net/addr.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "util/prng.hpp"
 
 namespace rogue::attack {
@@ -34,7 +33,6 @@ namespace rogue::attack {
 struct AttackerEnv {
   sim::Simulator* sim = nullptr;
   phy::Medium* medium = nullptr;
-  sim::Trace* trace = nullptr;
 
   // The identity being attacked / impersonated.
   std::string ssid = "CORP";

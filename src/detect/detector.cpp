@@ -36,9 +36,6 @@ void Detector::attach(const DetectorEnv& env) {
     tracer_alert_ = sim_->tracer().name("detect.alert");
     tracer_actor_ = sim_->tracer().actor("detect:" + std::string(name()));
   }
-  if (trace_ != nullptr) {
-    trace_tag_ = trace_->intern("detect." + std::string(name()));
-  }
 }
 
 void Detector::observe(const dot11::FrameView&, const phy::RxInfo&) {}
@@ -53,12 +50,7 @@ void Detector::emit(Alert alert) {
                            obs::TraceLayer::kDetect, 0,
                            static_cast<std::uint64_t>(alert.kind));
   }
-  if (trace_ != nullptr) {
-    trace_->record(alert.time, trace_tag_,
-                   std::string(to_string(alert.kind)) + " " +
-                       alert.transmitter.to_string() + " " + alert.detail,
-                   sim::Severity::kWarn);
-  }
+  if (trace_ != nullptr) trace_->note(sim::Severity::kWarn);
   if (sink_) sink_(alert);
   alerts_.push_back(std::move(alert));
 }

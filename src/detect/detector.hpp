@@ -101,8 +101,9 @@ class Detector {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
   /// Bind to a world. The default implementation records the environment
-  /// and interns this detector's stats/trace handles; subclasses extend it
-  /// (open radios, install taps) and must call Detector::attach() first.
+  /// and interns this detector's stats and Tracer handles; subclasses
+  /// extend it (open radios, install taps) and must call
+  /// Detector::attach() first.
   virtual void attach(const DetectorEnv& env);
 
   /// Feed one frame (offline traces, unit tests; radio-based detectors
@@ -119,8 +120,8 @@ class Detector {
   void set_alert_sink(AlertSink sink) { sink_ = std::move(sink); }
 
  protected:
-  /// Record + publish an alert: alert list, per-name obs counter, trace
-  /// record, and the sink, in that order.
+  /// Publish an alert: per-name obs counter, Tracer instant, a kWarn note
+  /// in the world's trace, the sink, then the alert list, in that order.
   void emit(Alert alert);
   /// True the first time (transmitter, kind) is seen — detectors that
   /// would otherwise re-alert on every frame gate emit() on this.
@@ -139,7 +140,6 @@ class Detector {
  private:
   sim::Simulator* sim_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
   obs::CounterId stat_alerts_;
   obs::TraceNameId tracer_alert_;
   obs::TraceActorId tracer_actor_;

@@ -1,9 +1,6 @@
 #include "dot11/ap.hpp"
 
-#include "util/fmt.hpp"
-
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace rogue::dot11 {
 
@@ -13,7 +10,6 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
       config_(std::move(config)),
       radio_(medium, "ap:" + config_.bssid.to_string()),
       trace_(trace) {
-  if (trace_ != nullptr) trace_tag_ = trace_->intern(radio_.name());
   // Back-compat: the legacy privacy flag means WEP.
   if (config_.security == SecurityMode::kOpen && config_.privacy) {
     config_.security = SecurityMode::kWep;
@@ -106,10 +102,8 @@ std::vector<net::MacAddr> AccessPoint::associated_stations() const {
   return out;
 }
 
-void AccessPoint::trace(std::string_view message, sim::Severity severity) {
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), trace_tag_, message, severity);
-  }
+void AccessPoint::note(sim::Severity severity) {
+  if (trace_ != nullptr) trace_->note(severity);
 }
 
 bool AccessPoint::mac_allowed(net::MacAddr mac) const {
@@ -220,9 +214,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.status = code;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
     ++counters_.auth_rejected;
-    trace(util::format("auth-reject {} status={}", sta.to_string(),
-                       static_cast<int>(code)),
-          sim::Severity::kWarn);
+    note(sim::Severity::kWarn);
   };
 
   // A protected auth frame that failed to decrypt/parse: wrong WEP key.
@@ -252,7 +244,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq = 2;
     resp.status = StatusCode::kSuccess;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
-    trace(util::format("auth-ok {}", sta.to_string()));
+    note(sim::Severity::kInfo);
     return;
   }
 
@@ -289,7 +281,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq = 4;
     resp.status = StatusCode::kSuccess;
     send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
-    trace(util::format("auth-ok {}", sta.to_string()));
+    note(sim::Severity::kInfo);
   }
 }
 
@@ -308,7 +300,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
     sim_.tracer().instant(trace_assoc_reject_, radio_.trace_actor(),
                           obs::TraceLayer::kDot11);
     send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
-    trace(util::format("assoc-reject {}", sta.to_string()), sim::Severity::kWarn);
+    note(sim::Severity::kWarn);
     return;
   }
 
@@ -320,7 +312,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
   sim_.tracer().instant(trace_assoc_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11, 0, aid);
   send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
-  trace(util::format("assoc {}", sta.to_string()));
+  note(sim::Severity::kInfo);
   if (event_handler_) event_handler_("assoc", sta);
   if (config_.security == SecurityMode::kWpaPsk ||
       config_.security == SecurityMode::kEap) {
@@ -338,7 +330,7 @@ void AccessPoint::handle_deauth(const FrameView& frame) {
   if (associated_.erase(sta) > 0 || authenticated_.erase(sta) > 0) {
     sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
                           obs::TraceLayer::kDot11);
-    trace(util::format("deauth-rx {}", sta.to_string()), sim::Severity::kWarn);
+    note(sim::Severity::kWarn);
     if (event_handler_) event_handler_("deauth", sta);
   }
 }
@@ -490,7 +482,7 @@ void AccessPoint::start_wpa_handshake(net::MacAddr sta) {
   m1.msg = WpaMsg::kM1;
   m1.nonce = state.anonce;
   send_eapol(sta, m1);
-  trace(util::format("wpa-m1 {}", sta.to_string()));
+  note(sim::Severity::kInfo);
   schedule_eapol_retry(sta);
 }
 
@@ -536,14 +528,13 @@ void AccessPoint::handle_eapol(net::MacAddr sta, util::ByteView payload) {
     if (!pmk) {
       // kEap: no credential on file for this MAC (or, on a rogue AP,
       // for any client but the attacker's own) — handshake cannot proceed.
-      trace(util::format("wpa-m2-unknown-client {}", sta.to_string()),
-            sim::Severity::kWarn);
+      note(sim::Severity::kWarn);
       return;
     }
     const WpaPtk ptk =
         wpa_ptk(*pmk, config_.bssid, sta, state.anonce, hs->nonce);
     if (!hs->verify(ptk.kck)) {
-      trace(util::format("wpa-m2-bad-mic {}", sta.to_string()), sim::Severity::kWarn);
+      note(sim::Severity::kWarn);
       return;  // wrong PSK on the station side
     }
     state.ptk = ptk;
@@ -564,7 +555,7 @@ void AccessPoint::handle_eapol(net::MacAddr sta, util::ByteView payload) {
     ++counters_.wpa_handshakes_completed;
     sim_.tracer().end(trace_wpa_span_, radio_.trace_actor(),
                       obs::TraceLayer::kDot11, 0, sta.to_u64());
-    trace(util::format("wpa-up {}", sta.to_string()));
+    note(sim::Severity::kInfo);
     if (event_handler_) event_handler_("wpa-up", sta);
   }
 }
@@ -588,7 +579,7 @@ void AccessPoint::deauth_station(net::MacAddr sta, ReasonCode reason) {
                         static_cast<std::uint64_t>(reason));
   send_mgmt(MgmtSubtype::kDeauth, sta, body.encode());
   sim_.stats().add(stat_deauth_tx_);
-  trace(util::format("deauth-tx {}", sta.to_string()), sim::Severity::kWarn);
+  note(sim::Severity::kWarn);
   if (event_handler_) event_handler_("deauth", sta);
 }
 

@@ -141,14 +141,13 @@ class AccessPoint {
   /// Encrypt (if privacy) and transmit a from-DS data frame.
   void send_data_frame(net::MacAddr dst, net::MacAddr src, util::ByteView msdu);
   [[nodiscard]] bool mac_allowed(net::MacAddr mac) const;
-  void trace(std::string_view message,
-             sim::Severity severity = sim::Severity::kInfo);
+  /// Count one lifecycle event in the world's trace, if one is attached.
+  void note(sim::Severity severity);
 
   sim::Simulator& sim_;
   ApConfig config_;
   phy::Radio radio_;
   sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
 
   bool running_ = false;
   sim::TimerHandle beacon_timer_;

@@ -1,7 +1,5 @@
 #include "dot11/sta.hpp"
 
-#include "util/fmt.hpp"
-
 #include "util/assert.hpp"
 
 namespace rogue::dot11 {
@@ -12,7 +10,6 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
       config_(std::move(config)),
       radio_(medium, "sta:" + config_.mac.to_string()),
       trace_(trace) {
-  if (trace_ != nullptr) trace_tag_ = trace_->intern(radio_.name());
   if (config_.security == SecurityMode::kOpen && config_.use_wep) {
     config_.security = SecurityMode::kWep;
   }
@@ -64,10 +61,8 @@ void Station::stop() {
   state_ = StationState::kIdle;
 }
 
-void Station::trace(std::string_view message, sim::Severity severity) {
-  if (trace_ != nullptr) {
-    trace_->record(sim_.now(), trace_tag_, message, severity);
-  }
+void Station::note(sim::Severity severity) {
+  if (trace_ != nullptr) trace_->note(severity);
 }
 
 void Station::transmit_frame(const Frame& frame) {
@@ -107,7 +102,7 @@ void Station::begin_scan() {
   scan_channel_index_ = 0;
   sim_.tracer().instant(trace_scan_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11);
-  trace("scan-start", sim::Severity::kDebug);
+  note(sim::Severity::kInfo);
   radio_.set_channel(config_.scan_channels[0]);
   scan_timer_ = sim_.after(config_.scan_dwell, [this] { scan_next_channel(); });
 }
@@ -126,7 +121,7 @@ void Station::scan_next_channel() {
 void Station::finish_scan() {
   const auto candidate = pick_candidate();
   if (!candidate) {
-    trace("scan-empty", sim::Severity::kDebug);
+    note(sim::Severity::kInfo);
     scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
     return;
   }
@@ -182,8 +177,7 @@ void Station::begin_join(const BssInfo& bss) {
   current_bss_ = bss;
   join_retries_ = 0;
   radio_.set_channel(bss.channel);
-  trace(util::format("join {} ch={} rssi={}", bss.bssid.to_string(),
-                     static_cast<int>(bss.channel), bss.rssi_dbm));
+  note(sim::Severity::kInfo);
   send_auth_request();
 }
 
@@ -218,7 +212,7 @@ void Station::on_join_timeout() {
     send_auth_request();
     return;
   }
-  trace("join-failed", sim::Severity::kWarn);
+  note(sim::Severity::kWarn);
   scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
   state_ = StationState::kScanning;
 }
@@ -240,7 +234,7 @@ void Station::become_associated() {
   sim_.tracer().instant(trace_associated_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11, 0,
                         current_bss_.bssid.to_u64());
-  trace(util::format("associated {}", current_bss_.bssid.to_string()));
+  note(sim::Severity::kInfo);
   if (event_handler_) event_handler_("assoc", current_bss_);
 }
 
@@ -254,17 +248,17 @@ void Station::arm_wpa_watchdog() {
     bss_blocklist_[{current_bss_.bssid, current_bss_.channel}] =
         sim_.now() + config_.bss_blocklist_duration;
     if (event_handler_) event_handler_("wpa-timeout", current_bss_);
-    disconnect("wpa-timeout");
+    disconnect();
   });
 }
 
-void Station::disconnect(std::string_view why) {
+void Station::disconnect() {
   sim_.cancel(beacon_watchdog_);
   sim_.cancel(join_timer_);
   sim_.cancel(wpa_watchdog_);
   sim_.tracer().instant(trace_disconnect_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11);
-  trace(util::format("disconnect ({})", why), sim::Severity::kWarn);
+  note(sim::Severity::kWarn);
   state_ = StationState::kIdle;
   if (running_) {
     scan_timer_ = sim_.after(next_rescan_delay(), [this] { begin_scan(); });
@@ -279,7 +273,7 @@ void Station::arm_beacon_watchdog() {
     if (state_ != StationState::kAssociated) return;
     ++counters_.beacon_losses;
     if (event_handler_) event_handler_("beacon-loss", current_bss_);
-    disconnect("beacon-loss");
+    disconnect();
   });
 }
 
@@ -344,7 +338,7 @@ void Station::handle_auth_resp(const FrameView& frame) {
   if (!auth) return;
 
   if (auth->status != StatusCode::kSuccess) {
-    trace("auth-rejected", sim::Severity::kWarn);
+    note(sim::Severity::kWarn);
     on_join_timeout();
     return;
   }
@@ -374,7 +368,7 @@ void Station::handle_assoc_resp(const FrameView& frame) {
   const auto resp = AssocRespBody::decode(frame.body);
   if (!resp) return;
   if (resp->status != StatusCode::kSuccess) {
-    trace("assoc-rejected", sim::Severity::kWarn);
+    note(sim::Severity::kWarn);
     on_join_timeout();
     return;
   }
@@ -391,7 +385,7 @@ void Station::handle_deauth(const FrameView& frame) {
   sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11);
   if (event_handler_) event_handler_("deauth", current_bss_);
-  disconnect("deauth");
+  disconnect();
 }
 
 void Station::handle_data(const FrameView& frame) {
@@ -525,7 +519,7 @@ void Station::handle_eapol(util::ByteView payload) {
   }
   if (hs->msg == WpaMsg::kM3) {
     if (ptk_.kck.empty() || !hs->verify(ptk_.kck)) {
-      trace("wpa-m3-bad-mic", sim::Severity::kWarn);  // wrong PSK on the AP side: abort
+      note(sim::Severity::kWarn);  // wrong PSK on the AP side: abort
       return;
     }
     const auto gtk = crypto::aead_open(ptk_.aead_key, /*seq=*/0,
@@ -540,7 +534,7 @@ void Station::handle_eapol(util::ByteView payload) {
     sim_.cancel(wpa_watchdog_);
     sim_.tracer().instant(trace_wpa_up_, radio_.trace_actor(),
                           obs::TraceLayer::kDot11);
-    trace("wpa-up");
+    note(sim::Severity::kInfo);
     if (event_handler_) event_handler_("wpa-up", current_bss_);
   }
 }

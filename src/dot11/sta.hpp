@@ -151,7 +151,7 @@ class Station {
   void send_assoc_request();
   void on_join_timeout();
   void become_associated();
-  void disconnect(std::string_view why);
+  void disconnect();
   /// Next rescan delay under exponential backoff + jitter; bumps the
   /// failed-cycle count.
   [[nodiscard]] sim::Time next_rescan_delay();
@@ -160,14 +160,13 @@ class Station {
                  bool protect = false);
   /// Serialize into a pooled buffer and hand it to the radio.
   void transmit_frame(const Frame& frame);
-  void trace(std::string_view message,
-             sim::Severity severity = sim::Severity::kInfo);
+  /// Count one lifecycle event in the world's trace, if one is attached.
+  void note(sim::Severity severity);
 
   sim::Simulator& sim_;
   StationConfig config_;
   phy::Radio radio_;
   sim::Trace* trace_ = nullptr;
-  sim::TagId trace_tag_ = 0;
 
   StationState state_ = StationState::kIdle;
   bool running_ = false;

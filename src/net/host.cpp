@@ -2,7 +2,6 @@
 
 #include "net/checksum.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace rogue::net {
 

@@ -1,7 +1,7 @@
 // Per-simulation metrics registry: named counters, gauges (with high-water
 // marks) and fixed-bucket histograms, built for the event hot path. A
-// component interns its metric names once (like sim::Trace::TagId) and the
-// returned handle indexes a flat uint64 array — an increment is one load
+// component interns its metric names once (like obs::Tracer names) and
+// the returned handle indexes a flat uint64 array — an increment is one load
 // plus one add, no hashing, no locks. One registry per Simulator keeps
 // replicas thread-isolated and the counts a pure function of (seed,
 // config), so stats can join the byte-identical sweep report.

@@ -281,8 +281,7 @@ class Medium {
   }
 
   /// Mirror every frame put on the air into `trace` (verbatim bytes +
-  /// simulated timestamp) for pcap export. nullptr detaches the tap; the
-  /// trace must also have frame capture enabled to retain anything.
+  /// simulated timestamp) for pcap export. nullptr detaches the tap.
   void set_capture(sim::Trace* trace) { capture_ = trace; }
 
  private:

@@ -113,7 +113,6 @@ attack::AttackerEnv ClientKit::attacker_env() {
   attack::AttackerEnv env = topo_.attacker;
   env.sim = &sim_;
   env.medium = &medium_;
-  env.trace = &trace_;
   env.deauth_period = config_.deauth_period;
   // Named stream off the replica's root seed: every behavioural jitter
   // the attacker draws is a pure function of (variant, seed).
@@ -220,7 +219,7 @@ Metrics ClientKit::collect_metrics() const {
   m.sim_time_s = static_cast<double>(sim_.now()) / kUsPerSecond;
   m.events_fired = sim_.events_fired();
   m.trace_records = trace_.size();
-  m.trace_warnings = trace_.count_at_least(sim::Severity::kWarn);
+  m.trace_warnings = trace_.warnings();
   m.stats = sim_.stats_snapshot();
 
   if (outcome_) {

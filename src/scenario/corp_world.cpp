@@ -41,10 +41,7 @@ void CorpWorld::configure(std::uint64_t seed) {
 void CorpWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
+  if (capture_frames_) medium_.set_capture(&trace_);
   build_wired();
   build_wireless();
   kit_.bind(topology());

@@ -29,10 +29,7 @@ void HotspotWorld::configure(std::uint64_t seed) {
 void HotspotWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
+  if (capture_frames_) medium_.set_capture(&trace_);
 
   // Open hotspot AP (public hotspots of the era ran no WEP).
   dot11::ApConfig ap_cfg;

@@ -47,10 +47,7 @@ void MetroWorld::configure(std::uint64_t seed) {
 void MetroWorld::start() {
   if (started_) return;
   started_ = true;
-  if (capture_frames_) {
-    trace_.enable_frame_capture(true);
-    medium_.set_capture(&trace_);
-  }
+  if (capture_frames_) medium_.set_capture(&trace_);
   layout_rng_ = sim_.derive_rng("metro.layout");
   build_aps();
   build_stas();

@@ -110,8 +110,8 @@ struct Metrics {
 
   // Event-kernel counters (engineering health of the replica).
   std::uint64_t events_fired = 0;
-  std::uint64_t trace_records = 0;
-  std::uint64_t trace_warnings = 0;  ///< records at Severity >= kWarn
+  std::uint64_t trace_records = 0;   ///< events noted in the world's Trace
+  std::uint64_t trace_warnings = 0;  ///< of those, noted at Severity::kWarn
   double sim_time_s = 0.0;
 
   /// Full layer-counter snapshot (phy/dot11/net/vpn/sim.*), deterministic

@@ -1,23 +1,14 @@
-// Lightweight event trace: components append tagged records, tests and
-// detectors query them. Plays the role of a tcpdump/kismet capture file.
-//
-// Hot-path layout: a record is 64 bytes — an interned tag handle (the
-// "ap:<bssid>" / "sta:<mac>" strings are stored once per component, not
-// once per record), a fixed severity enum, and a small-buffer message
-// that stays inline for every message the MAC layers emit today. The
-// string-based record()/with_tag() overloads remain as compatibility
-// shims for existing callers and tests.
+// Per-world event tally and frame capture. Components note() each
+// lifecycle event (auth, assoc, rejection, disconnect, detector alert) so
+// a report can say how many happened and how many were warnings; what the
+// event was and on which causal chain lives in the obs::Tracer. When the
+// world attaches the trace to its medium (Medium::set_capture), every
+// frame on the air is kept verbatim for pcap export — the paper's
+// tcpdump/ethereal capture.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <optional>
-#include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -25,99 +16,13 @@
 
 namespace rogue::sim {
 
-/// Handle for an interned tag string; 0 is "untagged".
-using TagId = std::uint32_t;
-
 enum class Severity : std::uint8_t {
-  kDebug = 0,  ///< chatty protocol detail (scans, retries)
-  kInfo,       ///< normal lifecycle events
-  kWarn,       ///< rejections, failures, disconnects
-  kAlert,      ///< detector findings
+  kInfo,  ///< normal lifecycle events
+  kWarn,  ///< rejections, failures, disconnects, detector alerts
 };
 
-/// Small-buffer string for trace messages: up to 46 bytes inline (every
-/// message the dot11 layer emits fits), longer messages spill to the heap
-/// without truncation.
-class ShortString {
- public:
-  static constexpr std::size_t kInlineCap = 46;
-
-  ShortString() { u_.buf[0] = '\0'; }
-  ShortString(std::string_view s) { assign(s); }
-  ShortString(const ShortString& other) { assign(other.view()); }
-  ShortString(ShortString&& other) noexcept {
-    std::memcpy(this, &other, sizeof other);
-    other.len_ = 0;  // steals the heap pointer, if any
-  }
-  ShortString& operator=(const ShortString& other) {
-    if (this != &other) {
-      release();
-      assign(other.view());
-    }
-    return *this;
-  }
-  ShortString& operator=(ShortString&& other) noexcept {
-    if (this != &other) {
-      release();
-      std::memcpy(this, &other, sizeof other);
-      other.len_ = 0;
-    }
-    return *this;
-  }
-  ~ShortString() { release(); }
-
-  [[nodiscard]] std::string_view view() const {
-    return is_heap() ? std::string_view(u_.heap.data, u_.heap.len)
-                     : std::string_view(u_.buf, len_);
-  }
-  operator std::string_view() const { return view(); }
-  [[nodiscard]] std::size_t size() const { return view().size(); }
-  [[nodiscard]] bool on_heap() const { return is_heap(); }
-
- private:
-  static constexpr std::uint8_t kHeapMarker = 0xFF;
-
-  [[nodiscard]] bool is_heap() const { return len_ == kHeapMarker; }
-
-  void assign(std::string_view s) {
-    if (s.size() <= kInlineCap) {
-      std::memcpy(u_.buf, s.data(), s.size());
-      len_ = static_cast<std::uint8_t>(s.size());
-    } else {
-      u_.heap.data = new char[s.size()];
-      std::memcpy(u_.heap.data, s.data(), s.size());
-      u_.heap.len = static_cast<std::uint32_t>(s.size());
-      len_ = kHeapMarker;
-    }
-  }
-
-  void release() {
-    if (is_heap()) delete[] u_.heap.data;
-    len_ = 0;
-  }
-
-  union Storage {
-    char buf[kInlineCap + 1];
-    struct {
-      char* data;
-      std::uint32_t len;
-    } heap;
-  } u_;
-  std::uint8_t len_ = 0;  ///< inline length, or kHeapMarker
-};
-
-struct TraceRecord {
-  Time time = 0;
-  ShortString message;  ///< event description
-  TagId tag = 0;        ///< interned component id, e.g. "ap.legit"
-  Severity severity = Severity::kInfo;
-
-  [[nodiscard]] std::string_view text() const { return message.view(); }
-};
-
-/// One over-the-air frame kept verbatim when frame capture is enabled;
-/// obs::PcapWriter turns a run's captured frames into a Wireshark-readable
-/// .pcap (the paper's tcpdump/ethereal methodology).
+/// One over-the-air frame kept verbatim; obs::PcapWriter turns a run's
+/// captured frames into a Wireshark-readable .pcap.
 struct CapturedFrame {
   Time time = 0;
   util::Bytes bytes;
@@ -125,81 +30,28 @@ struct CapturedFrame {
 
 class Trace {
  public:
-  /// Intern a tag string, returning a stable handle. Idempotent; interned
-  /// names survive clear() (components cache their TagId across runs).
-  TagId intern(std::string_view tag);
-  /// Name for a handle ("" for the untagged id 0).
-  [[nodiscard]] std::string_view tag_name(TagId id) const;
-  /// Reverse lookup; nullopt if the tag was never interned.
-  [[nodiscard]] std::optional<TagId> find_tag(std::string_view tag) const;
-
-  /// Hot-path record: no per-record tag allocation; messages up to
-  /// ShortString::kInlineCap bytes don't allocate either.
-  void record(Time t, TagId tag, std::string_view message,
-              Severity severity = Severity::kInfo);
-  /// Compatibility shim: interns the tag on every call.
-  void record(Time t, std::string_view tag, std::string_view message);
-
-  [[nodiscard]] const std::vector<TraceRecord>& records() const { return records_; }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  /// Record indices carrying this tag, oldest first — a view into the
-  /// per-tag index, valid until the next record()/clear(). The zero-copy
-  /// replacement for the copying with_tag() shims.
-  [[nodiscard]] std::span<const std::uint32_t> tag_records(TagId tag) const;
-  /// Number of records carrying `tag`; O(1).
-  [[nodiscard]] std::size_t count_with_tag(TagId tag) const {
-    return tag_records(tag).size();
+  /// Count one event.
+  void note(Severity severity) {
+    ++size_;
+    if (severity == Severity::kWarn) ++warnings_;
   }
-  /// Visit every record carrying `tag`, in time order, without copying.
-  template <typename Fn>
-  void for_each_tag(TagId tag, Fn&& fn) const {
-    for (const std::uint32_t idx : tag_records(tag)) {
-      fn(records_[idx]);
-    }
-  }
+  /// Events noted so far.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Events noted at Severity::kWarn.
+  [[nodiscard]] std::size_t warnings() const { return warnings_; }
 
-  /// All records carrying this tag handle (copying compatibility shim —
-  /// prefer for_each_tag()/tag_records()).
-  [[nodiscard]] std::vector<TraceRecord> with_tag(TagId tag) const;
-  /// Compatibility shim: records whose tag *name* matches exactly.
-  [[nodiscard]] std::vector<TraceRecord> with_tag(std::string_view tag) const;
-  /// Count records whose message contains `needle`.
-  [[nodiscard]] std::size_t count_containing(std::string_view needle) const;
-  /// Count records at severity >= `min`; O(1) off per-severity tallies.
-  [[nodiscard]] std::size_t count_at_least(Severity min) const;
-
-  // ---- frame capture -------------------------------------------------------
-  /// Keep verbatim copies of frames handed to capture_frame(). Off by
-  /// default: capture copies every frame on the air and is meant for
-  /// dedicated pcap-export replicas, not sweep hot paths.
-  void enable_frame_capture(bool on) { capture_frames_ = on; }
-  [[nodiscard]] bool frame_capture_enabled() const { return capture_frames_; }
-  /// Store one frame (no-op unless capture is enabled).
+  /// Store one frame. Only a medium the world attached this trace to
+  /// (Medium::set_capture) calls it, so an unattached trace stays empty.
   void capture_frame(Time t, util::ByteView frame) {
-    if (!capture_frames_) return;
     frames_.push_back(CapturedFrame{t, util::Bytes(frame.begin(), frame.end())});
   }
   [[nodiscard]] const std::vector<CapturedFrame>& frames() const {
     return frames_;
   }
 
-  /// Drop records and captured frames; interned tags are kept.
-  void clear() {
-    records_.clear();
-    frames_.clear();
-    severity_counts_.fill(0);
-    for (auto& index : tag_index_) index.clear();
-  }
-
  private:
-  std::vector<TraceRecord> records_;
-  std::vector<std::string> tag_names_;  ///< index = TagId - 1
-  std::unordered_map<std::string, TagId> tag_ids_;
-  /// tag_index_[tag] = indices into records_ (slot 0 = untagged records).
-  std::vector<std::vector<std::uint32_t>> tag_index_;
-  std::array<std::size_t, 4> severity_counts_{};  ///< per-Severity tallies
-  bool capture_frames_ = false;
+  std::size_t size_ = 0;
+  std::size_t warnings_ = 0;
   std::vector<CapturedFrame> frames_;
 };
 

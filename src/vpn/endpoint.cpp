@@ -1,7 +1,6 @@
 #include "vpn/endpoint.hpp"
 
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace rogue::vpn {
 

@@ -1,10 +1,9 @@
 // Simulation-kernel tests: deterministic ordering, cancellation, periodic
-// events, trace queries.
+// events, the trace tally and frame capture.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -297,170 +296,27 @@ TEST(Simulator, DeterminismStressIdenticalFireLogs) {
   EXPECT_NE(a, c);  // the log is actually seed-sensitive
 }
 
-TEST(Trace, RecordsAndQueries) {
+TEST(Trace, NoteTalliesEventsAndWarnings) {
   Trace trace;
-  trace.record(1, "ap", "assoc aa:bb");
-  trace.record(2, "sta", "join");
-  trace.record(3, "ap", "deauth aa:bb");
-  EXPECT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace.with_tag("ap").size(), 2u);
-  EXPECT_EQ(trace.count_containing("aa:bb"), 2u);
-  trace.clear();
-  EXPECT_EQ(trace.size(), 0u);
+  for (int i = 0; i < 5; ++i) trace.note(Severity::kInfo);
+  for (int i = 0; i < 3; ++i) trace.note(Severity::kWarn);
+  EXPECT_EQ(trace.size(), 8u);
+  EXPECT_EQ(trace.warnings(), 3u);
+  EXPECT_TRUE(trace.frames().empty());
 }
 
-TEST(Trace, InterningGivesStableHandlesAcrossClear) {
+TEST(Trace, CaptureKeepsFramesVerbatimInOrder) {
   Trace trace;
-  const TagId ap = trace.intern("ap:aa:bb:cc");
-  const TagId sta = trace.intern("sta:11:22:33");
-  EXPECT_NE(ap, 0u);
-  EXPECT_NE(ap, sta);
-  EXPECT_EQ(trace.intern("ap:aa:bb:cc"), ap);  // idempotent
-  EXPECT_EQ(trace.tag_name(ap), "ap:aa:bb:cc");
-  ASSERT_TRUE(trace.find_tag("sta:11:22:33").has_value());
-  EXPECT_EQ(*trace.find_tag("sta:11:22:33"), sta);
-  EXPECT_FALSE(trace.find_tag("never-interned").has_value());
-
-  trace.record(5, ap, "beacon");
-  trace.clear();
-  // Interned names survive clear(): components cache TagIds across runs.
-  EXPECT_EQ(trace.intern("ap:aa:bb:cc"), ap);
-  trace.record(9, ap, "assoc");
-  ASSERT_EQ(trace.with_tag(ap).size(), 1u);
-  EXPECT_EQ(trace.with_tag(ap)[0].text(), "assoc");
-  // Handle-based and name-based queries agree.
-  EXPECT_EQ(trace.with_tag("ap:aa:bb:cc").size(), 1u);
-}
-
-TEST(Trace, SeverityFilterAndDefaults) {
-  Trace trace;
-  const TagId tag = trace.intern("ap");
-  trace.record(1, tag, "beacon", Severity::kDebug);
-  trace.record(2, tag, "assoc");  // defaults to kInfo
-  trace.record(3, tag, "deauth-rx", Severity::kWarn);
-  trace.record(4, tag, "rogue!", Severity::kAlert);
-  trace.record(5, "legacy", "compat shim is kInfo");
-  EXPECT_EQ(trace.count_at_least(Severity::kDebug), 5u);
-  EXPECT_EQ(trace.count_at_least(Severity::kInfo), 4u);
-  EXPECT_EQ(trace.count_at_least(Severity::kWarn), 2u);
-  EXPECT_EQ(trace.count_at_least(Severity::kAlert), 1u);
-  EXPECT_EQ(trace.records()[0].severity, Severity::kDebug);
-  EXPECT_EQ(trace.records()[4].severity, Severity::kInfo);
-}
-
-TEST(Trace, ShortStringInlineAndHeapSpill) {
-  const std::string small(ShortString::kInlineCap, 'x');
-  const std::string big(ShortString::kInlineCap + 100, 'y');
-
-  ShortString inline_s(small);
-  EXPECT_FALSE(inline_s.on_heap());
-  EXPECT_EQ(inline_s.view(), small);
-
-  ShortString heap_s(big);
-  EXPECT_TRUE(heap_s.on_heap());
-  EXPECT_EQ(heap_s.view(), big);
-
-  // Copy and move preserve content; move steals the heap allocation.
-  ShortString copy = heap_s;
-  EXPECT_EQ(copy.view(), big);
-  ShortString moved = std::move(heap_s);
-  EXPECT_EQ(moved.view(), big);
-  EXPECT_EQ(heap_s.view(), "");  // NOLINT(bugprone-use-after-move)
-
-  copy = inline_s;
-  EXPECT_EQ(copy.view(), small);
-  EXPECT_FALSE(copy.on_heap());
-
-  // Long messages survive the trace intact (no truncation).
-  Trace trace;
-  trace.record(1, trace.intern("t"), big);
-  EXPECT_EQ(trace.records()[0].text(), big);
-  EXPECT_EQ(trace.count_containing("yyy"), 1u);
-}
-
-TEST(Trace, ShortStringHeapAssignmentsAndSelfAssign) {
-  const std::string big(ShortString::kInlineCap + 57, 'z');
-  const std::string other(ShortString::kInlineCap + 9, 'w');
-  const std::string small = "inline";
-
-  // Copy-assign heap over heap frees the old allocation and deep-copies.
-  ShortString a(big);
-  ShortString b(other);
-  a = b;
-  EXPECT_EQ(a.view(), other);
-  EXPECT_EQ(b.view(), other);  // source untouched
-  EXPECT_TRUE(a.on_heap());
-
-  // Move-assign heap over heap steals the allocation, empties the source.
-  ShortString c(big);
-  c = ShortString(other);
-  EXPECT_EQ(c.view(), other);
-  ShortString d(small);
-  d = std::move(c);
-  EXPECT_EQ(d.view(), other);
-  EXPECT_EQ(c.view(), "");  // NOLINT(bugprone-use-after-move)
-
-  // Self-assignment (copy and move) leaves a heap string intact.
-  ShortString e(big);
-  ShortString& e_alias = e;
-  e = e_alias;
-  EXPECT_EQ(e.view(), big);
-  e = std::move(e_alias);
-  EXPECT_EQ(e.view(), big);
-
-  // Heap-to-inline and inline-to-heap assignments flip the storage mode.
-  ShortString f(big);
-  f = ShortString(small);
-  EXPECT_FALSE(f.on_heap());
-  EXPECT_EQ(f.view(), small);
-  f = ShortString(big);
-  EXPECT_TRUE(f.on_heap());
-  EXPECT_EQ(f.view(), big);
-}
-
-TEST(Trace, TagIndexQueriesAreConsistent) {
-  Trace trace;
-  const TagId ap = trace.intern("ap");
-  const TagId sta = trace.intern("sta");
-  trace.record(1, ap, "beacon");
-  trace.record(2, sta, "scan");
-  trace.record(3, ap, "assoc");
-  trace.record(4, ap, "deauth");
-
-  EXPECT_EQ(trace.count_with_tag(ap), 3u);
-  EXPECT_EQ(trace.count_with_tag(sta), 1u);
-  ASSERT_EQ(trace.tag_records(ap).size(), 3u);
-
-  // for_each_tag visits the tagged records in time order without copying.
-  std::vector<std::string> texts;
-  trace.for_each_tag(ap, [&](const TraceRecord& r) {
-    texts.emplace_back(r.text());
-  });
-  ASSERT_EQ(texts.size(), 3u);
-  EXPECT_EQ(texts[0], "beacon");
-  EXPECT_EQ(texts[1], "assoc");
-  EXPECT_EQ(texts[2], "deauth");
-  // The copying shim agrees with the index path.
-  EXPECT_EQ(trace.with_tag(ap).size(), trace.count_with_tag(ap));
-
-  trace.clear();
-  EXPECT_EQ(trace.count_with_tag(ap), 0u);
-  EXPECT_TRUE(trace.tag_records(ap).empty());
-}
-
-TEST(Trace, SeverityCountsAreO1Tallies) {
-  Trace trace;
-  const TagId tag = trace.intern("det");
-  for (Time i = 0; i < 10; ++i) trace.record(i, tag, "d", Severity::kDebug);
-  for (Time i = 0; i < 5; ++i) trace.record(i, tag, "i", Severity::kInfo);
-  for (Time i = 0; i < 3; ++i) trace.record(i, tag, "w", Severity::kWarn);
-  trace.record(99, tag, "a", Severity::kAlert);
-  EXPECT_EQ(trace.count_at_least(Severity::kDebug), 19u);
-  EXPECT_EQ(trace.count_at_least(Severity::kInfo), 9u);
-  EXPECT_EQ(trace.count_at_least(Severity::kWarn), 4u);
-  EXPECT_EQ(trace.count_at_least(Severity::kAlert), 1u);
-  trace.clear();
-  EXPECT_EQ(trace.count_at_least(Severity::kDebug), 0u);
+  const util::Bytes beacon = {0x80, 0x00, 0x01};
+  const util::Bytes ack = {0xd4, 0x00};
+  trace.capture_frame(10, beacon);
+  trace.capture_frame(25, ack);
+  ASSERT_EQ(trace.frames().size(), 2u);
+  EXPECT_EQ(trace.frames()[0].time, 10u);
+  EXPECT_EQ(trace.frames()[0].bytes, beacon);
+  EXPECT_EQ(trace.frames()[1].time, 25u);
+  EXPECT_EQ(trace.frames()[1].bytes, ack);
+  EXPECT_EQ(trace.size(), 0u);  // captured frames are not noted events
 }
 
 TEST(Simulator, ReseedRebasesRootSeedBeforeUse) {

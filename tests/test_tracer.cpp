@@ -2,8 +2,8 @@
 // ring wraparound against a reference model, span-forest reconstruction,
 // Chrome trace-event schema round-trip, a scripted WPA handshake asserted
 // node-by-node, sweep-level byte determinism of the trace and timeseries
-// exports across worker counts, and the failed-replica flight-recorder
-// tail.
+// exports across worker counts, stats counters against their instant
+// counts, and the failed-replica flight-recorder tail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dot11/ap.hpp"
@@ -440,6 +442,80 @@ TEST(SweepTrace, DisabledTracerAddsNothingToTheReport) {
   const util::Json trace = report.chrome_trace_json();
   EXPECT_EQ(trace.find("traceEvents")->size(), 0u);
   EXPECT_TRUE(report.timeseries_jsonl().empty());
+}
+
+/// Instants named `name` recorded by actors whose label starts with
+/// `actor_prefix`.
+std::uint64_t count_instants(const obs::TracerDump& dump, std::string_view name,
+                             std::string_view actor_prefix) {
+  std::uint64_t n = 0;
+  for (const obs::TraceEvent& e : dump.events) {
+    if (e.phase == obs::TracePhase::kInstant && dump.name_of(e) == name &&
+        dump.actor_of(e).starts_with(actor_prefix)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(SweepTrace, StatsCountersEqualTheirInstantsWhenTheRingDidNotWrap) {
+  runner::SweepConfig cfg;
+  cfg.scenario = "cross-check";
+  cfg.seed_base = 7;
+  cfg.runs = 1;
+  cfg.jobs = 1;
+  cfg.trace = true;
+  cfg.trace_ring_events = 1 << 20;
+  runner::ExperimentRunner exp(cfg);
+  // Roaming, deauths and reconnects under faults on the hotspot; a WIDS
+  // panel catching a low-and-slow deauth attacker on corp.
+  runner::Variant chaos = runner::stock_variants("hotspot-chaos").at(0);
+  exp.add_variant(chaos.name, std::move(chaos.make));
+  exp.add_variant("wids", [](std::uint64_t) {
+    scenario::CorpConfig corp;
+    corp.wids_detectors = {"composite"};
+    corp.wids_attacker = "low-slow-deauth";
+    return std::make_unique<scenario::CorpWorld>(corp);
+  });
+  const runner::SweepReport report = exp.run();
+  ASSERT_EQ(report.failed_count(), 0u);
+  ASSERT_EQ(report.runs.size(), 2u);
+
+  std::uint64_t scans = 0;
+  std::uint64_t assocs = 0;
+  std::uint64_t deauths = 0;
+  std::uint64_t alerts = 0;
+  for (const runner::RunMetrics& run : report.runs) {
+    SCOPED_TRACE(run.variant);
+    ASSERT_NE(run.trace, nullptr);
+    const obs::TracerDump& dump = *run.trace;
+    ASSERT_EQ(dump.dropped, 0u) << "ring wrapped: counts are not comparable";
+    const obs::StatsSnapshot& stats = run.metrics.stats;
+
+    EXPECT_EQ(stats.value("dot11.sta.scans"),
+              count_instants(dump, "dot11.scan-start", ""));
+    EXPECT_EQ(stats.value("dot11.sta.associations"),
+              count_instants(dump, "dot11.associated", ""));
+    EXPECT_EQ(stats.value("dot11.sta.deauth_rx"),
+              count_instants(dump, "dot11.deauth-rx", "sta:"));
+    std::uint64_t alert_stats = 0;
+    for (const obs::StatsSnapshot::Entry& e : stats.entries) {
+      if (e.name.starts_with("detect.") && e.name.ends_with(".alerts")) {
+        alert_stats += e.value;
+      }
+    }
+    EXPECT_EQ(alert_stats, count_instants(dump, "detect.alert", "detect:"));
+
+    scans += stats.value("dot11.sta.scans");
+    assocs += stats.value("dot11.sta.associations");
+    deauths += stats.value("dot11.sta.deauth_rx");
+    alerts += alert_stats;
+  }
+  // Each pair was actually exercised, so equality is not 0 == 0.
+  EXPECT_GT(scans, 0u);
+  EXPECT_GT(assocs, 0u);
+  EXPECT_GT(deauths, 0u);
+  EXPECT_GT(alerts, 0u);
 }
 
 /// Minimal world whose episode records a few trace events and then throws
