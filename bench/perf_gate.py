@@ -15,9 +15,10 @@ new, skipped (SkipWithError, e.g. an ISA backend the runner lacks), or
 errored are reported but never gate — only a benchmark present and
 healthy on both sides can regress.
 
-Typical use:
-  ./build-release/bench/bench_micro --benchmark_out=current.json \
-      --benchmark_out_format=json
+Typical use (CI and the committed baseline both take five repetitions
+per row, and the gate compares each side's fastest):
+  ./build-release/bench/bench_micro --benchmark_repetitions=5 \
+      --benchmark_out=current.json --benchmark_out_format=json
   python3 bench/perf_gate.py --baseline bench/baselines/BENCH_micro.json \
       --current current.json
 

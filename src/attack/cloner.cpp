@@ -54,35 +54,27 @@ std::uint16_t FingerprintCloner::next_seq() {
   return seq_seen_ ? static_cast<std::uint16_t>((last_seq_ + 1) & 0x0fff) : 0;
 }
 
-void FingerprintCloner::transmit_mgmt(dot11::Frame& f) {
-  f.type = dot11::FrameType::kManagement;
-  f.addr2 = env_.legit_bssid;
-  f.addr3 = env_.legit_bssid;
-  f.sequence = next_seq();
-  util::Bytes raw = radio_->acquire_buffer(24 + f.body.size());
-  f.serialize_into(raw);
-  radio_->transmit(std::move(raw));
-}
-
 void FingerprintCloner::send_beacon() {
-  dot11::BeaconBody body = fingerprint_;
-  body.timestamp = static_cast<std::uint64_t>(env_.sim->now());
-  dot11::Frame f;
-  f.subtype = static_cast<std::uint8_t>(dot11::MgmtSubtype::kBeacon);
-  f.addr1 = net::MacAddr::broadcast();
-  f.body = body.encode();
-  transmit_mgmt(f);
+  fingerprint_.timestamp = static_cast<std::uint64_t>(env_.sim->now());
+  dot11::transmit_mgmt(*radio_,
+                       {.subtype = dot11::MgmtSubtype::kBeacon,
+                        .addr1 = net::MacAddr::broadcast(),
+                        .addr2 = env_.legit_bssid,
+                        .addr3 = env_.legit_bssid,
+                        .sequence = next_seq()},
+                       fingerprint_);
   ++beacons_sent_;
 }
 
 void FingerprintCloner::send_probe_response(net::MacAddr dest) {
-  dot11::BeaconBody body = fingerprint_;
-  body.timestamp = static_cast<std::uint64_t>(env_.sim->now());
-  dot11::Frame f;
-  f.subtype = static_cast<std::uint8_t>(dot11::MgmtSubtype::kProbeResp);
-  f.addr1 = dest;
-  f.body = body.encode();
-  transmit_mgmt(f);
+  fingerprint_.timestamp = static_cast<std::uint64_t>(env_.sim->now());
+  dot11::transmit_mgmt(*radio_,
+                       {.subtype = dot11::MgmtSubtype::kProbeResp,
+                        .addr1 = dest,
+                        .addr2 = env_.legit_bssid,
+                        .addr3 = env_.legit_bssid,
+                        .sequence = next_seq()},
+                       fingerprint_);
   ++responses_sent_;
 }
 

@@ -38,7 +38,6 @@ class FingerprintCloner final : public Attacker {
   void send_beacon();
   void send_probe_response(net::MacAddr dest);
   [[nodiscard]] std::uint16_t next_seq();
-  void transmit_mgmt(dot11::Frame& f);
 
   std::unique_ptr<phy::Radio> radio_;
   bool running_ = false;

@@ -26,22 +26,19 @@ void DeauthAttacker::configure(const AttackerEnv& env) {
 }
 
 void DeauthAttacker::send_once() {
-  dot11::Frame f;
-  f.type = dot11::FrameType::kManagement;
-  f.subtype = static_cast<std::uint8_t>(dot11::MgmtSubtype::kDeauth);
-  f.addr1 = target_;
-  f.addr2 = spoofed_bssid_;  // the forgery: we are not this AP
-  f.addr3 = spoofed_bssid_;
-  // A deliberately implausible sequence number region: real deauth forgery
-  // tools do not continue the AP's counter, which is exactly what the
-  // sequence-control detector (detect/) keys on.
-  f.sequence = seq_++;
   dot11::DeauthBody body;
   body.reason = dot11::ReasonCode::kPrevAuthExpired;
-  f.body = body.encode();
-  util::Bytes raw = radio_->acquire_buffer(24 + f.body.size());
-  f.serialize_into(raw);
-  radio_->transmit(std::move(raw));
+  // The forgery: we are not this AP. The sequence numbers are deliberately
+  // implausible: real deauth forgery tools do not continue the AP's
+  // counter, which is exactly what the sequence-control detector (detect/)
+  // keys on.
+  dot11::transmit_mgmt(*radio_,
+                       {.subtype = dot11::MgmtSubtype::kDeauth,
+                        .addr1 = target_,
+                        .addr2 = spoofed_bssid_,
+                        .addr3 = spoofed_bssid_,
+                        .sequence = seq_++},
+                       body);
   ++sent_;
 }
 

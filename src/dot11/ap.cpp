@@ -120,17 +120,14 @@ void AccessPoint::transmit_frame(const Frame& frame) {
   radio_.transmit(std::move(raw));
 }
 
-void AccessPoint::send_mgmt(MgmtSubtype subtype, net::MacAddr dst, util::Bytes body) {
-  Frame f;
-  f.type = FrameType::kManagement;
-  f.subtype = static_cast<std::uint8_t>(subtype);
-  f.addr1 = dst;
-  f.addr2 = config_.bssid;
-  f.addr3 = config_.bssid;
-  f.sequence = tx_seq_++;
+template <typename Body>
+void AccessPoint::send_mgmt(MgmtSubtype subtype, net::MacAddr dst,
+                            const Body& body) {
+  transmit_mgmt(radio_,
+                {.subtype = subtype, .addr1 = dst, .addr2 = config_.bssid,
+                 .addr3 = config_.bssid, .sequence = tx_seq_++},
+                body);
   tx_seq_ &= 0x0fff;
-  f.body = std::move(body);
-  transmit_frame(f);
 }
 
 void AccessPoint::send_beacon() {
@@ -142,7 +139,7 @@ void AccessPoint::send_beacon() {
   b.capability = kCapEss | (config_.privacy ? kCapPrivacy : 0);
   b.ssid = config_.ssid;
   b.channel = config_.channel;
-  send_mgmt(MgmtSubtype::kBeacon, net::MacAddr::broadcast(), b.encode());
+  send_mgmt(MgmtSubtype::kBeacon, net::MacAddr::broadcast(), b);
   ++counters_.beacons_sent;
   sim_.stats().add(stat_beacons_);
 }
@@ -182,7 +179,7 @@ void AccessPoint::handle_probe_req(const FrameView& frame) {
   resp.capability = kCapEss | (config_.privacy ? kCapPrivacy : 0);
   resp.ssid = config_.ssid;
   resp.channel = config_.channel;
-  send_mgmt(MgmtSubtype::kProbeResp, frame.addr2, resp.encode());
+  send_mgmt(MgmtSubtype::kProbeResp, frame.addr2, resp);
 }
 
 void AccessPoint::handle_auth(const FrameView& frame) {
@@ -212,7 +209,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq =
         auth ? static_cast<std::uint16_t>(auth->transaction_seq + 1) : 4;
     resp.status = code;
-    send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
+    send_mgmt(MgmtSubtype::kAuth, sta, resp);
     ++counters_.auth_rejected;
     note(sim::Severity::kWarn);
   };
@@ -243,7 +240,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.algorithm = AuthAlgorithm::kOpenSystem;
     resp.transaction_seq = 2;
     resp.status = StatusCode::kSuccess;
-    send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
+    send_mgmt(MgmtSubtype::kAuth, sta, resp);
     note(sim::Severity::kInfo);
     return;
   }
@@ -259,7 +256,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.transaction_seq = 2;
     resp.status = StatusCode::kSuccess;
     resp.challenge = std::move(challenge);
-    send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
+    send_mgmt(MgmtSubtype::kAuth, sta, resp);
     return;
   }
   if (auth->transaction_seq == 3) {
@@ -280,7 +277,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
     resp.algorithm = AuthAlgorithm::kSharedKey;
     resp.transaction_seq = 4;
     resp.status = StatusCode::kSuccess;
-    send_mgmt(MgmtSubtype::kAuth, sta, resp.encode());
+    send_mgmt(MgmtSubtype::kAuth, sta, resp);
     note(sim::Severity::kInfo);
   }
 }
@@ -299,7 +296,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
     ++counters_.assoc_rejected;
     sim_.tracer().instant(trace_assoc_reject_, radio_.trace_actor(),
                           obs::TraceLayer::kDot11);
-    send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
+    send_mgmt(MgmtSubtype::kAssocResp, sta, resp);
     note(sim::Severity::kWarn);
     return;
   }
@@ -311,7 +308,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
   ++counters_.assoc_ok;
   sim_.tracer().instant(trace_assoc_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11, 0, aid);
-  send_mgmt(MgmtSubtype::kAssocResp, sta, resp.encode());
+  send_mgmt(MgmtSubtype::kAssocResp, sta, resp);
   note(sim::Severity::kInfo);
   if (event_handler_) event_handler_("assoc", sta);
   if (config_.security == SecurityMode::kWpaPsk ||
@@ -577,7 +574,7 @@ void AccessPoint::deauth_station(net::MacAddr sta, ReasonCode reason) {
   sim_.tracer().instant(trace_deauth_tx_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11, 0,
                         static_cast<std::uint64_t>(reason));
-  send_mgmt(MgmtSubtype::kDeauth, sta, body.encode());
+  send_mgmt(MgmtSubtype::kDeauth, sta, body);
   sim_.stats().add(stat_deauth_tx_);
   note(sim::Severity::kWarn);
   if (event_handler_) event_handler_("deauth", sta);

@@ -134,7 +134,8 @@ class AccessPoint {
   void handle_eapol(net::MacAddr sta, util::ByteView payload);
   void send_eapol(net::MacAddr sta, const WpaHandshakeFrame& frame);
 
-  void send_mgmt(MgmtSubtype subtype, net::MacAddr dst, util::Bytes body);
+  template <typename Body>
+  void send_mgmt(MgmtSubtype subtype, net::MacAddr dst, const Body& body);
   /// Serialize into a pooled buffer and hand it to the radio.
   void transmit_frame(const Frame& frame);
   void send_beacon();

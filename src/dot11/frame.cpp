@@ -25,6 +25,11 @@ void write_ie(util::ByteWriter& w, std::uint8_t id, util::ByteView value) {
   w.raw(value);
 }
 
+void write_ie(util::ByteWriter& w, std::uint8_t id, std::string_view text) {
+  write_ie(w, id,
+           {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
 /// Iterate IEs in `data`, calling cb(id, value); returns false on truncation.
 template <typename Cb>
 [[nodiscard]] bool for_each_ie(util::ByteReader& r, Cb&& cb) {
@@ -40,17 +45,8 @@ template <typename Cb>
 
 }  // namespace
 
-util::Bytes Frame::serialize() const {
-  util::Bytes out;
-  serialize_into(out);
-  return out;
-}
-
-void Frame::serialize_into(util::Bytes& out) const {
-  out.clear();
-  out.reserve(24 + body.size());
+void FrameHeader::write(util::Bytes& out) const {
   util::ByteWriter w(out);
-
   // Frame control: subtype(4) | type(2) | version(2), then flags.
   const auto fc0 = static_cast<std::uint8_t>(
       (subtype << 4) | (static_cast<std::uint8_t>(type) << 2));
@@ -66,7 +62,19 @@ void Frame::serialize_into(util::Bytes& out) const {
   write_mac(w, addr2);
   write_mac(w, addr3);
   w.u16le(static_cast<std::uint16_t>((sequence << 4) | (fragment & 0x0f)));
-  w.raw(body);
+}
+
+util::Bytes Frame::serialize() const {
+  util::Bytes out;
+  serialize_into(out);
+  return out;
+}
+
+void Frame::serialize_into(util::Bytes& out) const {
+  out.clear();
+  out.reserve(24 + body.size());
+  write(out);
+  util::append(out, body);
 }
 
 std::optional<Frame> Frame::parse(util::ByteView raw) {
@@ -76,20 +84,7 @@ std::optional<Frame> Frame::parse(util::ByteView raw) {
 }
 
 Frame FrameView::to_frame() const {
-  Frame f;
-  f.type = type;
-  f.subtype = subtype;
-  f.to_ds = to_ds;
-  f.from_ds = from_ds;
-  f.retry = retry;
-  f.protected_frame = protected_frame;
-  f.addr1 = addr1;
-  f.addr2 = addr2;
-  f.addr3 = addr3;
-  f.sequence = sequence;
-  f.fragment = fragment;
-  f.body.assign(body.begin(), body.end());
-  return f;
+  return Frame{*this, util::Bytes(body.begin(), body.end())};
 }
 
 std::optional<FrameView> FrameView::parse(util::ByteView raw) {
@@ -116,16 +111,14 @@ std::optional<FrameView> FrameView::parse(util::ByteView raw) {
   return f;
 }
 
-util::Bytes BeaconBody::encode() const {
-  util::Bytes out;
+void BeaconBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
   w.u64be(timestamp);
   w.u16le(beacon_interval_tu);
   w.u16le(capability);
-  write_ie(w, kIeSsid, util::to_bytes(ssid));
+  write_ie(w, kIeSsid, ssid);
   const std::uint8_t ch = channel;
   write_ie(w, kIeDsParam, util::ByteView(&ch, 1));
-  return out;
 }
 
 std::optional<BeaconBody> BeaconBody::decode(util::ByteView body) {
@@ -143,11 +136,9 @@ std::optional<BeaconBody> BeaconBody::decode(util::ByteView body) {
   return b;
 }
 
-util::Bytes ProbeReqBody::encode() const {
-  util::Bytes out;
+void ProbeReqBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
-  write_ie(w, kIeSsid, util::to_bytes(ssid));
-  return out;
+  write_ie(w, kIeSsid, ssid);
 }
 
 std::optional<ProbeReqBody> ProbeReqBody::decode(util::ByteView body) {
@@ -160,14 +151,12 @@ std::optional<ProbeReqBody> ProbeReqBody::decode(util::ByteView body) {
   return b;
 }
 
-util::Bytes AuthBody::encode() const {
-  util::Bytes out;
+void AuthBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
   w.u16le(static_cast<std::uint16_t>(algorithm));
   w.u16le(transaction_seq);
   w.u16le(static_cast<std::uint16_t>(status));
   if (!challenge.empty()) write_ie(w, kIeChallenge, challenge);
-  return out;
 }
 
 std::optional<AuthBody> AuthBody::decode(util::ByteView body) {
@@ -184,12 +173,10 @@ std::optional<AuthBody> AuthBody::decode(util::ByteView body) {
   return b;
 }
 
-util::Bytes AssocReqBody::encode() const {
-  util::Bytes out;
+void AssocReqBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
   w.u16le(capability);
-  write_ie(w, kIeSsid, util::to_bytes(ssid));
-  return out;
+  write_ie(w, kIeSsid, ssid);
 }
 
 std::optional<AssocReqBody> AssocReqBody::decode(util::ByteView body) {
@@ -204,13 +191,11 @@ std::optional<AssocReqBody> AssocReqBody::decode(util::ByteView body) {
   return b;
 }
 
-util::Bytes AssocRespBody::encode() const {
-  util::Bytes out;
+void AssocRespBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
   w.u16le(capability);
   w.u16le(static_cast<std::uint16_t>(status));
   w.u16le(association_id);
-  return out;
 }
 
 std::optional<AssocRespBody> AssocRespBody::decode(util::ByteView body) {
@@ -223,11 +208,9 @@ std::optional<AssocRespBody> AssocRespBody::decode(util::ByteView body) {
   return b;
 }
 
-util::Bytes DeauthBody::encode() const {
-  util::Bytes out;
+void DeauthBody::encode_into(util::Bytes& out) const {
   util::ByteWriter w(out);
   w.u16le(static_cast<std::uint16_t>(reason));
-  return out;
 }
 
 std::optional<DeauthBody> DeauthBody::decode(util::ByteView body) {

@@ -71,23 +71,27 @@ void Station::transmit_frame(const Frame& frame) {
   radio_.transmit(std::move(raw));
 }
 
-void Station::send_mgmt(MgmtSubtype subtype, net::MacAddr dst, util::Bytes body,
+template <typename Body>
+void Station::send_mgmt(MgmtSubtype subtype, net::MacAddr dst, const Body& body,
                         bool protect) {
+  const MgmtHeader header{.subtype = subtype, .addr1 = dst, .addr2 = config_.mac,
+                          .addr3 = dst, .sequence = tx_seq_++};
+  tx_seq_ &= 0x0fff;
+  if (!protect) {
+    transmit_mgmt(radio_, header, body);
+    return;
+  }
+  // WEP encrypts the whole plaintext body, so this one management frame
+  // is still built as a Frame around body.encode().
+  ROGUE_ASSERT(config_.use_wep);
   Frame f;
-  f.type = FrameType::kManagement;
   f.subtype = static_cast<std::uint8_t>(subtype);
+  f.protected_frame = true;
   f.addr1 = dst;
   f.addr2 = config_.mac;
   f.addr3 = dst;
-  f.sequence = tx_seq_++;
-  tx_seq_ &= 0x0fff;
-  if (protect) {
-    ROGUE_ASSERT(config_.use_wep);
-    f.protected_frame = true;
-    f.body = crypto::wep_encrypt(iv_gen_->next(), config_.wep_key, body);
-  } else {
-    f.body = std::move(body);
-  }
+  f.sequence = header.sequence;
+  f.body = crypto::wep_encrypt(iv_gen_->next(), config_.wep_key, body.encode());
   transmit_frame(f);
 }
 
@@ -186,7 +190,7 @@ void Station::send_auth_request() {
   AuthBody auth;
   auth.algorithm = config_.auth_algorithm;
   auth.transaction_seq = 1;
-  send_mgmt(MgmtSubtype::kAuth, current_bss_.bssid, auth.encode());
+  send_mgmt(MgmtSubtype::kAuth, current_bss_.bssid, auth);
   sim_.cancel(join_timer_);
   // Jittered timeout: desynchronizes retries of colliding stations.
   join_timer_ = sim_.after(config_.response_timeout + sim_.rng().uniform_u64(0, 10'000),
@@ -199,7 +203,7 @@ void Station::send_assoc_request() {
   req.capability =
       kCapEss | (config_.security != SecurityMode::kOpen ? kCapPrivacy : 0);
   req.ssid = config_.target_ssid;
-  send_mgmt(MgmtSubtype::kAssocReq, current_bss_.bssid, req.encode());
+  send_mgmt(MgmtSubtype::kAssocReq, current_bss_.bssid, req);
   sim_.cancel(join_timer_);
   join_timer_ = sim_.after(config_.response_timeout, [this] { on_join_timeout(); });
 }
@@ -354,7 +358,7 @@ void Station::handle_auth_resp(const FrameView& frame) {
     reply.algorithm = AuthAlgorithm::kSharedKey;
     reply.transaction_seq = 3;
     reply.challenge = auth->challenge;
-    send_mgmt(MgmtSubtype::kAuth, current_bss_.bssid, reply.encode(), /*protect=*/true);
+    send_mgmt(MgmtSubtype::kAuth, current_bss_.bssid, reply, /*protect=*/true);
     return;
   }
   if (auth->transaction_seq == 4) {

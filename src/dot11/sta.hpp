@@ -156,7 +156,9 @@ class Station {
   /// failed-cycle count.
   [[nodiscard]] sim::Time next_rescan_delay();
   void arm_beacon_watchdog();
-  void send_mgmt(MgmtSubtype subtype, net::MacAddr dst, util::Bytes body,
+  /// `protect` WEP-encapsulates the body (the shared-key reply).
+  template <typename Body>
+  void send_mgmt(MgmtSubtype subtype, net::MacAddr dst, const Body& body,
                  bool protect = false);
   /// Serialize into a pooled buffer and hand it to the radio.
   void transmit_frame(const Frame& frame);

@@ -183,7 +183,7 @@ void MetroWorld::start_join(Sta& sta, net::MacAddr bssid, phy::Channel channel) 
   dot11::AuthBody auth;
   auth.algorithm = dot11::AuthAlgorithm::kOpenSystem;
   auth.transaction_seq = 1;
-  send_mgmt(sta, dot11::MgmtSubtype::kAuth, bssid, auth.encode());
+  send_mgmt(sta, dot11::MgmtSubtype::kAuth, bssid, auth);
   sta.timer =
       sim_.after(config_.join_timeout, [this, &sta] { join_timed_out(sta); });
 }
@@ -260,7 +260,7 @@ void MetroWorld::on_sta_rx(Sta& sta, util::ByteView raw,
         }
         dot11::AssocReqBody req;
         req.ssid = config_.ssid;
-        send_mgmt(sta, dot11::MgmtSubtype::kAssocReq, sta.bssid, req.encode());
+        send_mgmt(sta, dot11::MgmtSubtype::kAssocReq, sta.bssid, req);
         return;
       }
       if (frame->is_mgmt(dot11::MgmtSubtype::kAssocResp)) {
@@ -306,7 +306,7 @@ void MetroWorld::on_sta_rx(Sta& sta, util::ByteView raw,
         // deauth always goes out on the channel we're about to stay on.
         dot11::DeauthBody bye;
         bye.reason = dot11::ReasonCode::kDeauthLeaving;
-        send_mgmt(sta, dot11::MgmtSubtype::kDeauth, sta.bssid, bye.encode());
+        send_mgmt(sta, dot11::MgmtSubtype::kDeauth, sta.bssid, bye);
         sta.roaming = true;
         sta.disassoc_time = sim_.now();
         start_join(sta, sta.better_bssid, sta.radio.channel());
@@ -324,19 +324,14 @@ void MetroWorld::on_sta_rx(Sta& sta, util::ByteView raw,
   }
 }
 
+template <typename Body>
 void MetroWorld::send_mgmt(Sta& sta, dot11::MgmtSubtype subtype,
-                           net::MacAddr dst, util::Bytes body) {
-  dot11::Frame f;
-  f.type = dot11::FrameType::kManagement;
-  f.subtype = static_cast<std::uint8_t>(subtype);
-  f.addr1 = dst;
-  f.addr2 = sta.mac;
-  f.addr3 = sta.bssid;
-  f.sequence = static_cast<std::uint16_t>(sta.tx_seq++ & 0x0fff);
-  f.body = std::move(body);
-  util::Bytes buf = sta.radio.acquire_buffer();
-  f.serialize_into(buf);
-  sta.radio.transmit(std::move(buf));
+                           net::MacAddr dst, const Body& body) {
+  dot11::transmit_mgmt(
+      sta.radio,
+      {.subtype = subtype, .addr1 = dst, .addr2 = sta.mac, .addr3 = sta.bssid,
+       .sequence = static_cast<std::uint16_t>(sta.tx_seq++ & 0x0fff)},
+      body);
 }
 
 // ---- Episode ----------------------------------------------------------------

@@ -152,8 +152,9 @@ class MetroWorld final : public World {
   void watchdog_fire(Sta& sta);
   void connection_lost(Sta& sta);
   void on_sta_rx(Sta& sta, util::ByteView raw, const phy::RxInfo& info);
+  template <typename Body>
   void send_mgmt(Sta& sta, dot11::MgmtSubtype subtype, net::MacAddr dst,
-                 util::Bytes body);
+                 const Body& body);
 
   [[nodiscard]] bool is_rogue(net::MacAddr bssid) const {
     return rogue_bssids_.count(bssid) != 0;

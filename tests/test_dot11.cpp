@@ -2,11 +2,15 @@
 // scan/join, WEP enforcement, MAC filtering, deauth-driven roaming.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "dot11/ap.hpp"
 #include "dot11/frame.hpp"
 #include "dot11/sta.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
+#include "util/prng.hpp"
 
 namespace rogue::dot11 {
 namespace {
@@ -64,6 +68,133 @@ TEST_P(MgmtSubtypeRoundTrip, SubtypePreserved) {
   EXPECT_TRUE(parsed->is_mgmt(GetParam()));
 }
 
+// ---- Management writer vs the reference serializer --------------------------
+
+/// Every field of each body, for comparing a decoded body with its source.
+auto fields(const BeaconBody& b) {
+  return std::tie(b.timestamp, b.beacon_interval_tu, b.capability, b.ssid, b.channel);
+}
+auto fields(const ProbeReqBody& b) { return std::tie(b.ssid); }
+auto fields(const AuthBody& b) {
+  return std::tie(b.algorithm, b.transaction_seq, b.status, b.challenge);
+}
+auto fields(const AssocReqBody& b) { return std::tie(b.capability, b.ssid); }
+auto fields(const AssocRespBody& b) {
+  return std::tie(b.capability, b.status, b.association_id);
+}
+auto fields(const DeauthBody& b) { return std::tie(b.reason); }
+
+std::string random_ssid(util::Prng& rng, std::size_t len) {
+  std::string ssid(len, '\0');
+  for (char& c : ssid) c = static_cast<char>(rng.uniform_u32(256));
+  return ssid;
+}
+
+/// write_mgmt must lay out exactly what Frame::serialize() does for the
+/// same header fields around body.encode(), for any sequence number, and
+/// the bytes must parse back to the header and body they came from.
+template <typename Body>
+void expect_writer_matches_serialize(MgmtSubtype subtype, const Body& body,
+                                     util::Prng& rng) {
+  const auto random_seq = static_cast<std::uint16_t>(rng.uniform_u32(0x10000));
+  for (const std::uint16_t sequence :
+       {std::uint16_t{0}, std::uint16_t{0x0fff}, std::uint16_t{0x1000},
+        std::uint16_t{0xffff}, random_seq}) {
+    const MgmtHeader header{.subtype = subtype,
+                            .addr1 = MacAddr::from_id(rng.next()),
+                            .addr2 = MacAddr::from_id(rng.next()),
+                            .addr3 = MacAddr::from_id(rng.next()),
+                            .sequence = sequence};
+    Bytes written(300, 0xee);  // stale contents the writer must drop
+    write_mgmt(written, header, body);
+
+    Frame reference;
+    reference.subtype = static_cast<std::uint8_t>(subtype);
+    reference.addr1 = header.addr1;
+    reference.addr2 = header.addr2;
+    reference.addr3 = header.addr3;
+    reference.sequence = sequence;
+    reference.body = body.encode();
+    EXPECT_EQ(written, reference.serialize()) << "sequence " << sequence;
+
+    const auto view = FrameView::parse(written);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_TRUE(view->is_mgmt(subtype));
+    EXPECT_FALSE(view->to_ds || view->from_ds || view->retry ||
+                 view->protected_frame);
+    EXPECT_EQ(view->addr1, header.addr1);
+    EXPECT_EQ(view->addr2, header.addr2);
+    EXPECT_EQ(view->addr3, header.addr3);
+    EXPECT_EQ(view->sequence, sequence & 0x0fff);  // bits past 12 fall off
+    EXPECT_EQ(view->fragment, 0);
+    const auto decoded = Body::decode(view->body);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_TRUE(fields(*decoded) == fields(body));
+  }
+}
+
+TEST_P(MgmtSubtypeRoundTrip, WriterMatchesReferenceSerializer) {
+  const MgmtSubtype subtype = GetParam();
+  util::Prng rng(static_cast<std::uint64_t>(subtype) + 1);
+  // 16 and 32 bytes spill past std::string's inline buffer.
+  for (const std::size_t ssid_len : {0u, 4u, 16u, 32u}) {
+    const std::string ssid = random_ssid(rng, ssid_len);
+    switch (subtype) {
+      case MgmtSubtype::kBeacon:
+      case MgmtSubtype::kProbeResp: {
+        BeaconBody b;
+        b.timestamp = rng.next();
+        b.beacon_interval_tu = static_cast<std::uint16_t>(rng.next());
+        b.capability = static_cast<std::uint16_t>(rng.next());
+        b.ssid = ssid;
+        b.channel = static_cast<std::uint8_t>(rng.next());
+        expect_writer_matches_serialize(subtype, b, rng);
+        break;
+      }
+      case MgmtSubtype::kProbeReq: {
+        ProbeReqBody b;
+        b.ssid = ssid;
+        expect_writer_matches_serialize(subtype, b, rng);
+        break;
+      }
+      case MgmtSubtype::kAssocReq: {
+        AssocReqBody b;
+        b.capability = static_cast<std::uint16_t>(rng.next());
+        b.ssid = ssid;
+        expect_writer_matches_serialize(subtype, b, rng);
+        break;
+      }
+      case MgmtSubtype::kAssocResp: {
+        AssocRespBody b;
+        b.capability = static_cast<std::uint16_t>(rng.next());
+        b.status = static_cast<StatusCode>(rng.next());
+        b.association_id = static_cast<std::uint16_t>(rng.next());
+        expect_writer_matches_serialize(subtype, b, rng);
+        break;
+      }
+      case MgmtSubtype::kAuth: {
+        for (const std::size_t challenge_len : {0u, 128u}) {
+          AuthBody b;
+          b.algorithm = static_cast<AuthAlgorithm>(rng.next());
+          b.transaction_seq = static_cast<std::uint16_t>(rng.next());
+          b.status = static_cast<StatusCode>(rng.next());
+          b.challenge.resize(challenge_len);
+          rng.fill(b.challenge);
+          expect_writer_matches_serialize(subtype, b, rng);
+        }
+        break;
+      }
+      case MgmtSubtype::kDeauth:
+      case MgmtSubtype::kDisassoc: {
+        DeauthBody b;
+        b.reason = static_cast<ReasonCode>(rng.next());
+        expect_writer_matches_serialize(subtype, b, rng);
+        break;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSubtypes, MgmtSubtypeRoundTrip,
                          ::testing::Values(MgmtSubtype::kAssocReq,
                                            MgmtSubtype::kAssocResp,
@@ -73,6 +204,17 @@ INSTANTIATE_TEST_SUITE_P(AllSubtypes, MgmtSubtypeRoundTrip,
                                            MgmtSubtype::kDisassoc,
                                            MgmtSubtype::kAuth,
                                            MgmtSubtype::kDeauth));
+
+/// encode_into appends to what `out` already holds; what it appends is
+/// encode()'s bytes.
+template <typename Body>
+void expect_encode_into_appends(const Body& body) {
+  Bytes out{0x01, 0x02};
+  body.encode_into(out);
+  Bytes expected{0x01, 0x02};
+  util::append(expected, body.encode());
+  EXPECT_EQ(out, expected);
+}
 
 TEST(Bodies, BeaconRoundTrip) {
   BeaconBody b;
@@ -87,6 +229,7 @@ TEST(Bodies, BeaconRoundTrip) {
   EXPECT_EQ(decoded->ssid, "CORP");
   EXPECT_EQ(decoded->channel, 6);
   EXPECT_TRUE(decoded->privacy());
+  expect_encode_into_appends(b);
 }
 
 TEST(Bodies, AuthRoundTripWithChallenge) {
@@ -100,6 +243,7 @@ TEST(Bodies, AuthRoundTripWithChallenge) {
   EXPECT_EQ(decoded->algorithm, AuthAlgorithm::kSharedKey);
   EXPECT_EQ(decoded->transaction_seq, 2);
   EXPECT_EQ(decoded->challenge, a.challenge);
+  expect_encode_into_appends(a);
 }
 
 TEST(Bodies, AssocAndDeauthRoundTrip) {
@@ -117,6 +261,10 @@ TEST(Bodies, AssocAndDeauthRoundTrip) {
   DeauthBody d;
   d.reason = ReasonCode::kDeauthLeaving;
   EXPECT_EQ(DeauthBody::decode(d.encode())->reason, ReasonCode::kDeauthLeaving);
+  expect_encode_into_appends(req);
+  expect_encode_into_appends(resp);
+  expect_encode_into_appends(d);
+  expect_encode_into_appends(ProbeReqBody{});
 }
 
 TEST(Llc, EncodeDecode) {

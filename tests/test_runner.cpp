@@ -17,6 +17,7 @@
 #include "runner/tournament.hpp"
 #include "scenario/corp_world.hpp"
 #include "scenario/hotspot.hpp"
+#include "util/bytes.hpp"
 
 namespace rogue::runner {
 namespace {
@@ -500,6 +501,66 @@ TEST(Sweep, WorldPlumbingReportBytesPinned) {
   EXPECT_EQ(tournament_digest("corp", {"none", "rogue-gateway", "cloner"},
                               {"seqnum", "composite"}),
             "b02cab6aa33866d1ec2a27986c3572584667a331e4845e1fd96ad5ea83beb811");
+}
+
+// SHA-256 over every frame a world put on the air: per frame, its capture
+// time, its length and its bytes. Report digests pin outcomes; this pins
+// each header field and body byte of every transmitted frame.
+std::string frame_digest(std::unique_ptr<scenario::World> world,
+                         std::uint64_t seed) {
+  world->enable_frame_capture();
+  world->configure(seed);
+  world->run_episode();
+  crypto::Sha256 hash;
+  util::Bytes record;
+  for (const sim::CapturedFrame& f : world->trace().frames()) {
+    record.clear();
+    util::ByteWriter w(record);
+    w.u64be(f.time);
+    w.u32be(static_cast<std::uint32_t>(f.bytes.size()));
+    w.raw(f.bytes);
+    hash.update(record);
+  }
+  return util::hex_encode(hash.finish());
+}
+
+std::unique_ptr<scenario::World> stock_world(std::string_view scenario,
+                                             std::string_view name,
+                                             std::uint64_t seed) {
+  for (Variant& v : stock_variants(scenario)) {
+    if (v.name == name) return v.make(seed);
+  }
+  throw std::invalid_argument("no stock variant " + std::string(name));
+}
+
+/// One CorpWorld WIDS pair episode, as the corp tournament builds it.
+std::unique_ptr<scenario::World> wids_world(std::string attacker,
+                                            std::string detector) {
+  scenario::CorpConfig c;
+  c.victim_to_legit_m = 20.0;
+  c.victim_to_rogue_m = 4.0;
+  c.do_download = false;
+  c.wids_detectors = {std::move(detector)};
+  c.wids_attacker = std::move(attacker);
+  return std::make_unique<scenario::CorpWorld>(c);
+}
+
+// Between them these worlds send every kind of management frame the
+// simulator writes: AP beacons, probe responses, auth and assoc responses;
+// station auth and assoc requests; metro joins and roaming deauths; forged
+// deauths (flood and low-and-slow); cloned beacons and probe responses;
+// and the probe-timing detector's probe requests.
+TEST(Sweep, TransmittedFrameBytesPinned) {
+  EXPECT_EQ(frame_digest(stock_world("corp", "rogue+deauth", 7), 7),
+            "97ec55257cb38fcc9c6d44c8b726da5124ed4414568220a7b65b3d676a6b90c7");
+  EXPECT_EQ(frame_digest(wids_world("cloner", "probe-timing"), 7),
+            "c2733dfe179bd29b39b4de2205c061ada32f87b8312a44c6a21a1364b63a5e9e");
+  EXPECT_EQ(frame_digest(wids_world("low-slow-deauth", "seqnum"), 7),
+            "8d307103aa3456d3286ee1edb1788204289b8c3bf03f5fccaaae0dd6bbb2d410");
+  EXPECT_EQ(frame_digest(stock_world("hotspot", "hostile", 7), 7),
+            "c511c933635663335c799945bc9923104449d407301d8a7443b22f1a182a56a9");
+  EXPECT_EQ(frame_digest(stock_world("metro", "evil-twin", 1), 1),
+            "c5bd716548dd4590ad2bc0fc973b5c0dcf7a1e0c6308c9638f79b714eee90406");
 }
 
 }  // namespace
