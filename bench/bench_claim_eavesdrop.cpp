@@ -101,7 +101,7 @@ Result run_wireless(std::uint64_t seed, bool wep, bool adversary_has_key) {
   apc.ssid = "CORP";
   apc.bssid = net::MacAddr::from_id(0xA9);
   apc.channel = 1;
-  apc.privacy = wep;
+  apc.security = wep ? dot11::SecurityMode::kWep : dot11::SecurityMode::kOpen;
   apc.wep_key = wep ? key : util::Bytes{};
   dot11::AccessPoint ap(sim, medium, apc);
   ap.radio().set_position({5, 0});
@@ -110,7 +110,7 @@ Result run_wireless(std::uint64_t seed, bool wep, bool adversary_has_key) {
   stc.mac = net::MacAddr::from_id(0x51);
   stc.target_ssid = "CORP";
   stc.scan_channels = {1};
-  stc.use_wep = wep;
+  stc.security = apc.security;
   stc.wep_key = wep ? key : util::Bytes{};
   dot11::Station sta(sim, medium, stc);
 

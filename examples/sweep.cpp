@@ -5,11 +5,17 @@
 // Fans (runs x variants) independent replicas across a worker pool — each
 // replica owns a private world and is reproducible from its seed — prints
 // the per-variant aggregate table, and writes the machine-readable JSON
-// report. The report bytes are identical at any --jobs value.
+// report. The report bytes are identical at any --jobs value. With
+// --tournament the variants are the attacker x detector pairs of a WIDS
+// tournament; everything else, every export file included, is the same.
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,9 +46,9 @@ void usage(const char* argv0) {
       "\n"
       "  --tournament  run the attacker x detector WIDS matrix instead of\n"
       "                the variant ladder (scenario corp or hotspot). Every\n"
-      "                pair runs --runs seeded replicas; the report carries\n"
-      "                per-pair detection rate, FP rate and TTD p50/p95 and\n"
-      "                its bytes are identical at any --jobs\n"
+      "                pair is one variant of --runs seeded replicas; the\n"
+      "                report carries per-pair detection rate, FP rate and\n"
+      "                TTD p50/p95, and every export flag below applies\n"
       "  --attackers   comma-separated registry attackers (default: stock\n"
       "                roster incl. the \"none\" control row)\n"
       "  --detectors   comma-separated registry detectors (default: stock\n"
@@ -53,7 +59,7 @@ void usage(const char* argv0) {
       "  --faults X    inject a seed-derived fault plan at intensity X\n"
       "                (faults per simulated minute; overlays the plain\n"
       "                scenarios, scales the chaos ones; ignored by the\n"
-      "                metro roaming scenarios)\n"
+      "                metro roaming scenarios; not with --tournament)\n"
       "  metro         spatial-grid roaming ladder (EXP-C5): street-grid\n"
       "                APs, waypoint-roaming STAs, evil-twin promiscuity\n"
       "  metro-city    the same at acceptance scale (210 APs, 50k STAs);\n"
@@ -78,7 +84,8 @@ void usage(const char* argv0) {
       "  --timeseries-out F  sample every replica's StatsRegistry on a\n"
       "                sim-time cadence and write one JSON object per line\n"
       "                (deterministic: identical bytes at any --jobs)\n"
-      "  --timeseries-dt X   sample period in sim-seconds (default 1.0)\n"
+      "  --timeseries-dt X   sample period in sim-seconds (default 1.0);\n"
+      "                without --timeseries-out nothing is sampled\n"
       "  --pcap-out F  run one extra frame-capturing replica of the first\n"
       "                variant (seed-base) and dump its radio traffic as a\n"
       "                LINKTYPE_IEEE802_11 pcap\n"
@@ -90,12 +97,40 @@ void usage(const char* argv0) {
       "                --trace-out, the profiled replicas additionally\n"
       "                appear in the trace file as \"host-profile\" tracks\n"
       "                (marked nondeterministic; excluded from the\n"
-      "                byte-determinism contract, so CI compares traces\n"
-      "                produced without profiling)\n"
+      "                byte-determinism contract, so determinism checks\n"
+      "                compare traces produced without profiling)\n"
       "\n"
       "exits 1 when any replica failed (reported under \"failures\" in the\n"
       "JSON report), 2 on usage errors.\n",
       argv0);
+}
+
+/// `text` as a whole number in [lo, hi]; exits 2 otherwise.
+std::uint64_t parse_count(const char* flag, const char* text,
+                          std::uint64_t lo, std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*text)) == 0 || *end != '\0' ||
+      errno != 0 || v < lo || v > hi) {
+    std::fprintf(stderr, "%s wants a whole number in [%llu, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+  }
+  return v;
+}
+
+/// `text` as a number in [lo, hi]; exits 2 otherwise (NaN included).
+double parse_real(const char* flag, const char* text, double lo, double hi) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "%s wants a number in [%g, %g], got '%s'\n", flag, lo,
+                 hi, text);
+    std::exit(2);
+  }
+  return v;
 }
 
 std::vector<std::string> split_csv(const char* text) {
@@ -113,12 +148,19 @@ std::vector<std::string> split_csv(const char* text) {
   return out;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
+/// Write `text` and a newline to `path` and say so; false when it cannot.
+bool write_file(const char* what, const std::string& path,
+                const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
   std::fwrite(text.data(), 1, text.size(), f);
   std::fputc('\n', f);
   std::fclose(f);
+  std::printf("%s written to %s (%zu bytes)\n", what, path.c_str(),
+              text.size() + 1);
   return true;
 }
 
@@ -126,7 +168,7 @@ bool write_text_file(const std::string& path, const std::string& text) {
 /// packed end to end in self-time order. The track visualizes *relative*
 /// host cost next to the sim-time tracks; its timestamps are host
 /// measurements, hence nondeterministic and excluded from the trace file's
-/// byte-determinism contract (CI compares traces made without --profile).
+/// byte-determinism contract (compare traces made without --profile).
 void append_profile_track(util::Json& events, std::uint64_t pid,
                           const std::string& variant,
                           const obs::Profiler::Report& profile) {
@@ -163,7 +205,7 @@ void append_profile_track(util::Json& events, std::uint64_t pid,
 }  // namespace
 
 int main(int argc, char** argv) {
-  runner::SweepConfig cfg;
+  runner::TournamentConfig cfg;
   cfg.runs = 20;
   std::string out_path;
   std::string stats_path;
@@ -171,10 +213,12 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string timeseries_path;
   std::string profile_path;
+  double timeseries_dt_s = 1.0;
   bool profile = false;
-  double fault_intensity = 0.0;
   bool tournament = false;
-  runner::TournamentConfig tcfg;
+  double fault_intensity = 0.0;
+  bool faults_given = false;              // sweep only
+  const char* tournament_flag = nullptr;  // --tournament only
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -185,16 +229,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+      return static_cast<std::size_t>(parse_count(arg, value(), lo, hi));
+    };
+    auto real = [&](double lo, double hi) {
+      return parse_real(arg, value(), lo, hi);
+    };
     if (std::strcmp(arg, "--scenario") == 0) {
       cfg.scenario = value();
     } else if (std::strcmp(arg, "--runs") == 0) {
-      cfg.runs = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      cfg.runs = count(1, 1'000'000);
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      cfg.jobs = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      cfg.jobs = count(0, 256);  // 0 = one per hardware thread
     } else if (std::strcmp(arg, "--seed-base") == 0) {
-      cfg.seed_base = std::strtoull(value(), nullptr, 10);
+      cfg.seed_base = parse_count(arg, value(), 0, UINT64_MAX);
     } else if (std::strcmp(arg, "--faults") == 0) {
-      fault_intensity = std::strtod(value(), nullptr);
+      fault_intensity = real(0.0, 1000.0);
+      faults_given = true;
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = value();
     } else if (std::strcmp(arg, "--stats-out") == 0) {
@@ -203,32 +254,31 @@ int main(int argc, char** argv) {
       trace_path = value();
       cfg.trace = true;
     } else if (std::strcmp(arg, "--trace-ring-events") == 0) {
-      cfg.trace_ring_events =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      cfg.trace_ring_events = count(1, std::size_t{1} << 24);
     } else if (std::strcmp(arg, "--timeseries-out") == 0) {
       timeseries_path = value();
     } else if (std::strcmp(arg, "--timeseries-dt") == 0) {
-      cfg.timeseries_dt_s = std::strtod(value(), nullptr);
+      timeseries_dt_s = real(0.001, 1e6);
     } else if (std::strcmp(arg, "--pool-slab") == 0) {
-      cfg.pool.slab_buffers =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      cfg.pool.slab_buffers = count(0, 65536);
     } else if (std::strcmp(arg, "--pool-buffer-bytes") == 0) {
-      cfg.pool.buffer_capacity =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      cfg.pool.buffer_capacity = count(0, 65536);  // 0 = default
     } else if (std::strcmp(arg, "--pool-poison") == 0) {
       cfg.pool.poison_on_release = true;
     } else if (std::strcmp(arg, "--tournament") == 0) {
       tournament = true;
     } else if (std::strcmp(arg, "--attackers") == 0) {
-      tcfg.attackers = split_csv(value());
+      cfg.attackers = split_csv(value());
+      tournament_flag = arg;
     } else if (std::strcmp(arg, "--detectors") == 0) {
-      tcfg.detectors = split_csv(value());
+      cfg.detectors = split_csv(value());
+      tournament_flag = arg;
     } else if (std::strcmp(arg, "--wids-baseline-s") == 0) {
-      tcfg.baseline_window =
-          static_cast<sim::Time>(std::strtod(value(), nullptr) * 1e6);
+      cfg.baseline_window = static_cast<sim::Time>(real(0.0, 1e4) * 1e6);
+      tournament_flag = arg;
     } else if (std::strcmp(arg, "--wids-attack-s") == 0) {
-      tcfg.attack_window =
-          static_cast<sim::Time>(std::strtod(value(), nullptr) * 1e6);
+      cfg.attack_window = static_cast<sim::Time>(real(0.0, 1e4) * 1e6);
+      tournament_flag = arg;
     } else if (std::strcmp(arg, "--pcap-out") == 0) {
       pcap_path = value();
     } else if (std::strcmp(arg, "--profile") == 0) {
@@ -245,59 +295,31 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!timeseries_path.empty() && cfg.timeseries_dt_s <= 0.0) {
-    cfg.timeseries_dt_s = 1.0;
+  if (tournament && faults_given) {
+    std::fprintf(stderr, "--faults does not apply to --tournament\n");
+    return 2;
   }
-
-  if (tournament) {
-    tcfg.scenario = cfg.scenario;
-    tcfg.seed_base = cfg.seed_base;
-    tcfg.runs = cfg.runs;
-    tcfg.jobs = cfg.jobs;
-    tcfg.pool = cfg.pool;
-    if (tcfg.scenario != "corp" && tcfg.scenario != "hotspot") {
-      std::fprintf(stderr,
-                   "tournament scenarios: corp, hotspot (got '%s')\n",
-                   tcfg.scenario.c_str());
-      return 2;
-    }
-    runner::TournamentReport report = runner::run_tournament(tcfg);
-    std::printf(
-        "tournament: scenario=%s attackers=%zu detectors=%zu runs=%zu/pair\n",
-        report.config.scenario.c_str(), report.config.attackers.size(),
-        report.config.detectors.size(), report.config.runs);
-    std::printf("\n%s\n%s", report.matrix().c_str(), report.table().c_str());
-    std::printf("\n%zu replicas in %.1f ms wall\n", report.runs.size(),
-                report.wall_ms);
-    if (!out_path.empty()) {
-      const std::string text = report.to_json().dump(2);
-      if (!write_text_file(out_path, text)) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-        return 1;
-      }
-      std::printf("report written to %s (%zu bytes)\n", out_path.c_str(),
-                  text.size() + 1);
-    }
-    const std::size_t failed = report.failed_count();
-    if (failed > 0) {
-      std::fprintf(stderr, "%zu replica(s) failed:\n", failed);
-      for (const runner::RunMetrics& run : report.runs) {
-        if (!run.failed) continue;
-        std::fprintf(stderr, "  pair=%s seed=%llu: %s\n", run.variant.c_str(),
-                     static_cast<unsigned long long>(run.seed),
-                     run.error.c_str());
-      }
-      return 1;
-    }
-    return 0;
+  if (!tournament && tournament_flag != nullptr) {
+    std::fprintf(stderr, "%s needs --tournament\n", tournament_flag);
+    return 2;
   }
+  // Sampling adds a periodic event per replica, so it runs only when the
+  // series is wanted: --timeseries-dt alone leaves the report unchanged.
+  if (!timeseries_path.empty()) cfg.timeseries_dt_s = timeseries_dt_s;
 
+  if (tournament) cfg = runner::with_stock_rosters(std::move(cfg));
   std::vector<runner::Variant> variants =
-      runner::stock_variants(cfg.scenario, fault_intensity);
+      tournament ? runner::tournament_variants(cfg)
+                 : runner::stock_variants(cfg.scenario, fault_intensity);
   if (variants.empty()) {
     std::fprintf(stderr, "unknown scenario '%s'; known:", cfg.scenario.c_str());
-    for (const auto name : runner::known_scenarios()) {
-      std::fprintf(stderr, " %.*s", static_cast<int>(name.size()), name.data());
+    if (tournament) {
+      std::fprintf(stderr, " corp hotspot (with --tournament)");
+    } else {
+      for (const auto name : runner::known_scenarios()) {
+        std::fprintf(stderr, " %.*s", static_cast<int>(name.size()),
+                     name.data());
+      }
     }
     std::fprintf(stderr, "\n");
     return 2;
@@ -308,33 +330,26 @@ int main(int argc, char** argv) {
   // need the factories again after the sweep.
   for (const auto& v : variants) exp.add_variant(v.name, v.make);
 
-  std::printf("sweep: scenario=%s runs=%zu/variant variants=%zu jobs=%zu\n",
-              cfg.scenario.c_str(), cfg.runs, exp.variant_count(),
-              cfg.jobs == 0 ? static_cast<std::size_t>(0) : cfg.jobs);
-  runner::SweepReport report = exp.run();
+  std::printf("%s: scenario=%s runs=%zu/variant variants=%zu jobs=%zu\n",
+              tournament ? "tournament" : "sweep", cfg.scenario.c_str(),
+              cfg.runs, exp.variant_count(), cfg.jobs);
+  runner::SweepReport sweep = exp.run();
+  std::optional<runner::TournamentReport> wids;
+  if (tournament) wids.emplace(std::move(sweep), cfg);
+  const runner::SweepReport& report = wids ? *wids : sweep;
 
-  std::printf("\n%s", report.table().c_str());
+  std::printf("\n%s", (wids ? wids->table() : report.table()).c_str());
   std::printf("\n%zu replicas in %.1f ms wall\n", report.runs.size(),
               report.wall_ms);
 
-  if (!out_path.empty()) {
-    const std::string text = report.to_json().dump(2);
-    if (!write_text_file(out_path, text)) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("report written to %s (%zu bytes)\n", out_path.c_str(),
-                text.size() + 1);
+  if (!out_path.empty() &&
+      !write_file("report", out_path,
+                  (wids ? wids->to_json() : report.to_json()).dump(2))) {
+    return 1;
   }
-
-  if (!stats_path.empty()) {
-    const std::string text = report.stats_json().dump(2);
-    if (!write_text_file(stats_path, text)) {
-      std::fprintf(stderr, "cannot write %s\n", stats_path.c_str());
-      return 1;
-    }
-    std::printf("stats written to %s (%zu bytes)\n", stats_path.c_str(),
-                text.size() + 1);
+  if (!stats_path.empty() &&
+      !write_file("stats", stats_path, report.stats_json().dump(2))) {
+    return 1;
   }
 
   if (!pcap_path.empty()) {
@@ -390,13 +405,7 @@ int main(int argc, char** argv) {
       vars.push_back(std::move(entry));
     }
     j.set("variants", std::move(vars));
-    const std::string text = j.dump(2);
-    if (!write_text_file(profile_path, text)) {
-      std::fprintf(stderr, "cannot write %s\n", profile_path.c_str());
-      return 1;
-    }
-    std::printf("profile written to %s (%zu bytes)\n", profile_path.c_str(),
-                text.size() + 1);
+    if (!write_file("profile", profile_path, j.dump(2))) return 1;
   }
 
   if (!trace_path.empty()) {
@@ -408,24 +417,13 @@ int main(int argc, char** argv) {
     util::Json trace = util::Json::object();
     trace.set("traceEvents", std::move(events));
     trace.set("displayTimeUnit", "ms");
-    const std::string text = trace.dump();
-    if (!write_text_file(trace_path, text)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
-      return 1;
-    }
-    std::printf("trace written to %s (%zu bytes)\n", trace_path.c_str(),
-                text.size() + 1);
+    if (!write_file("trace", trace_path, trace.dump())) return 1;
   }
 
   if (!timeseries_path.empty()) {
     std::string text = report.timeseries_jsonl();
     if (!text.empty() && text.back() == '\n') text.pop_back();
-    if (!write_text_file(timeseries_path, text)) {
-      std::fprintf(stderr, "cannot write %s\n", timeseries_path.c_str());
-      return 1;
-    }
-    std::printf("timeseries written to %s (%zu bytes)\n",
-                timeseries_path.c_str(), text.size() + 1);
+    if (!write_file("timeseries", timeseries_path, text)) return 1;
   }
 
   const std::size_t failed = report.failed_count();

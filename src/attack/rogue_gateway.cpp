@@ -11,10 +11,7 @@ RogueGateway::RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
   dot11::StationConfig sta_cfg;
   sta_cfg.mac = config_.client_mac;
   sta_cfg.target_ssid = config_.ssid;
-  sta_cfg.security =
-      config_.use_wep || config_.security != dot11::SecurityMode::kWep
-          ? config_.security
-          : dot11::SecurityMode::kOpen;
+  sta_cfg.security = config_.security;
   sta_cfg.wep_key = config_.wep_key;
   sta_cfg.wpa_psk = config_.wpa_psk;
   sta_cfg.auth_algorithm = config_.auth_algorithm;
@@ -26,7 +23,7 @@ RogueGateway::RogueGateway(sim::Simulator& simulator, phy::Medium& medium,
   ap_cfg.ssid = config_.ssid;
   ap_cfg.bssid = config_.rogue_bssid;
   ap_cfg.channel = config_.rogue_channel;
-  ap_cfg.security = sta_cfg.security;
+  ap_cfg.security = config_.security;
   ap_cfg.wep_key = config_.wep_key;
   ap_cfg.wpa_psk = config_.wpa_psk;
   if (ap_cfg.security == dot11::SecurityMode::kEap) {

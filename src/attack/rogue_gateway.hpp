@@ -28,9 +28,8 @@ namespace rogue::attack {
 struct RogueGatewayConfig {
   // Wireless identity to clone.
   std::string ssid = "CORP";
-  bool use_wep = true;  ///< legacy knob; `security` wins when set explicitly
-  util::Bytes wep_key;
   dot11::SecurityMode security = dot11::SecurityMode::kWep;
+  util::Bytes wep_key;  ///< when security == kWep
   util::Bytes wpa_psk;  ///< when security == kWpaPsk (the §2.2 "fix")
   dot11::AuthAlgorithm auth_algorithm = dot11::AuthAlgorithm::kOpenSystem;
 

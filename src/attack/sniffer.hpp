@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "attack/fms.hpp"
-#include "attack/pcap.hpp"
+#include "obs/pcap.hpp"
 #include "dot11/wpa.hpp"
 #include "dot11/frame.hpp"
 #include "net/addr.hpp"
@@ -93,7 +93,7 @@ class Sniffer {
 
   /// Attach a pcap writer: every raw frame heard is appended (airodump
   /// style). The writer must outlive the sniffer.
-  void set_pcap(PcapWriter* writer) { pcap_ = writer; }
+  void set_pcap(obs::PcapWriter* writer) { pcap_ = writer; }
 
   /// Give the sniffer a key later (e.g. after FMS recovery succeeds).
   void set_wep_key(util::Bytes key) { config_.wep_key = std::move(key); }
@@ -107,7 +107,7 @@ class Sniffer {
   phy::Radio radio_;
   FmsCracker fms_;
   std::optional<dot11::WpaPassiveDecryptor> wpa_;
-  PcapWriter* pcap_ = nullptr;
+  obs::PcapWriter* pcap_ = nullptr;
   std::size_t hop_index_ = 0;
   std::map<std::pair<net::MacAddr, phy::Channel>, ObservedBss> bss_;
   std::set<net::MacAddr> clients_;

@@ -4,31 +4,31 @@
 
 namespace rogue::dot11 {
 
+namespace {
+/// ESS, plus the privacy bit on every network that is not open.
+std::uint16_t capability(const ApConfig& config) {
+  return kCapEss | (config.security != SecurityMode::kOpen ? kCapPrivacy : 0);
+}
+}  // namespace
+
 AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
                          ApConfig config, sim::Trace* trace)
     : sim_(simulator),
       config_(std::move(config)),
       radio_(medium, "ap:" + config_.bssid.to_string()),
       trace_(trace) {
-  // Back-compat: the legacy privacy flag means WEP.
-  if (config_.security == SecurityMode::kOpen && config_.privacy) {
-    config_.security = SecurityMode::kWep;
-  }
   if (config_.security == SecurityMode::kWep) {
-    config_.privacy = true;
     ROGUE_ASSERT_MSG(config_.wep_key.size() == crypto::kWep40KeyLen ||
                          config_.wep_key.size() == crypto::kWep104KeyLen,
-                     "privacy enabled but WEP key is not 5/13 bytes");
+                     "WEP enabled but key is not 5/13 bytes");
     iv_gen_.emplace(config_.iv_policy, config_.wep_key.size(),
                     sim_.rng().next());
   } else if (config_.security == SecurityMode::kWpaPsk) {
-    config_.privacy = true;  // advertise the privacy capability bit
     ROGUE_ASSERT_MSG(!config_.wpa_psk.empty(), "WPA mode needs a PSK");
     pmk_ = wpa_pmk(config_.wpa_psk, config_.ssid);
     gtk_.resize(crypto::kAeadKeyLen);
     sim_.rng().fill(gtk_);
   } else if (config_.security == SecurityMode::kEap) {
-    config_.privacy = true;
     gtk_.resize(crypto::kAeadKeyLen);
     sim_.rng().fill(gtk_);
   }
@@ -136,7 +136,7 @@ void AccessPoint::send_beacon() {
   b.timestamp = sim_.now();
   b.beacon_interval_tu =
       static_cast<std::uint16_t>(config_.beacon_interval / 1024);
-  b.capability = kCapEss | (config_.privacy ? kCapPrivacy : 0);
+  b.capability = capability(config_);
   b.ssid = config_.ssid;
   b.channel = config_.channel;
   send_mgmt(MgmtSubtype::kBeacon, net::MacAddr::broadcast(), b);
@@ -176,7 +176,7 @@ void AccessPoint::handle_probe_req(const FrameView& frame) {
   if (!req->ssid.empty() && req->ssid != config_.ssid) return;
   BeaconBody resp;
   resp.timestamp = sim_.now();
-  resp.capability = kCapEss | (config_.privacy ? kCapPrivacy : 0);
+  resp.capability = capability(config_);
   resp.ssid = config_.ssid;
   resp.channel = config_.channel;
   send_mgmt(MgmtSubtype::kProbeResp, frame.addr2, resp);
@@ -188,7 +188,7 @@ void AccessPoint::handle_auth(const FrameView& frame) {
   std::optional<AuthBody> auth;
   bool decrypted_ok = false;
   if (frame.protected_frame) {
-    if (!config_.privacy) return;
+    if (config_.security == SecurityMode::kOpen) return;
     const auto dec = crypto::wep_decrypt(frame.body, config_.wep_key);
     if (dec) {
       auth = AuthBody::decode(dec->plaintext);
@@ -288,7 +288,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
   const net::MacAddr sta = frame.addr2;
 
   AssocRespBody resp;
-  resp.capability = kCapEss | (config_.privacy ? kCapPrivacy : 0);
+  resp.capability = capability(config_);
 
   if (req->ssid != config_.ssid || !authenticated_.contains(sta) ||
       !mac_allowed(sta)) {

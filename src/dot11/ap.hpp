@@ -28,13 +28,10 @@ struct ApConfig {
   net::MacAddr bssid;
   phy::Channel channel = 1;
 
-  bool privacy = false;       ///< require WEP on data frames (legacy knob)
-  util::Bytes wep_key;        ///< 5 or 13 bytes when privacy is on
-  crypto::WepIvPolicy iv_policy = crypto::WepIvPolicy::kSequential;
-
-  /// Explicit security mode; kOpen + privacy=true is normalized to kWep
-  /// at construction for backward compatibility.
+  /// Any mode but kOpen sets the privacy capability bit.
   SecurityMode security = SecurityMode::kOpen;
+  util::Bytes wep_key;        ///< 5 or 13 bytes when security == kWep
+  crypto::WepIvPolicy iv_policy = crypto::WepIvPolicy::kSequential;
   util::Bytes wpa_psk;        ///< passphrase when security == kWpaPsk
   /// security == kEap: the authenticator's credential database (RADIUS
   /// stand-in). A rogue AP knows at most its own entry.
@@ -139,7 +136,7 @@ class AccessPoint {
   /// Serialize into a pooled buffer and hand it to the radio.
   void transmit_frame(const Frame& frame);
   void send_beacon();
-  /// Encrypt (if privacy) and transmit a from-DS data frame.
+  /// Encrypt (if WEP) and transmit a from-DS data frame.
   void send_data_frame(net::MacAddr dst, net::MacAddr src, util::ByteView msdu);
   [[nodiscard]] bool mac_allowed(net::MacAddr mac) const;
   /// Count one lifecycle event in the world's trace, if one is attached.

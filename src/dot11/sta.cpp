@@ -10,11 +10,7 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
       config_(std::move(config)),
       radio_(medium, "sta:" + config_.mac.to_string()),
       trace_(trace) {
-  if (config_.security == SecurityMode::kOpen && config_.use_wep) {
-    config_.security = SecurityMode::kWep;
-  }
   if (config_.security == SecurityMode::kWep) {
-    config_.use_wep = true;
     ROGUE_ASSERT_MSG(config_.wep_key.size() == crypto::kWep40KeyLen ||
                          config_.wep_key.size() == crypto::kWep104KeyLen,
                      "WEP enabled but key is not 5/13 bytes");
@@ -83,7 +79,7 @@ void Station::send_mgmt(MgmtSubtype subtype, net::MacAddr dst, const Body& body,
   }
   // WEP encrypts the whole plaintext body, so this one management frame
   // is still built as a Frame around body.encode().
-  ROGUE_ASSERT(config_.use_wep);
+  ROGUE_ASSERT(config_.security == SecurityMode::kWep);
   Frame f;
   f.subtype = static_cast<std::uint8_t>(subtype);
   f.protected_frame = true;

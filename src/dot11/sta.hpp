@@ -49,8 +49,7 @@ struct StationConfig {
   net::MacAddr mac;
   std::string target_ssid = "CORP";
 
-  bool use_wep = false;       ///< legacy knob, implies security = kWep
-  util::Bytes wep_key;
+  util::Bytes wep_key;        ///< 5 or 13 bytes when security == kWep
   crypto::WepIvPolicy iv_policy = crypto::WepIvPolicy::kSequential;
   AuthAlgorithm auth_algorithm = AuthAlgorithm::kOpenSystem;
 

@@ -1,6 +1,8 @@
 #include "runner/scenarios.hpp"
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "scenario/corp_world.hpp"
 #include "scenario/hotspot.hpp"
@@ -62,9 +64,7 @@ std::vector<Variant> chaos_ladder(Config base, double fault_intensity) {
   return variants;
 }
 
-}  // namespace
-
-std::vector<Variant> corp_variants(double fault_intensity) {
+std::vector<Variant> corp(double fault_intensity) {
   std::vector<Variant> variants;
 
   scenario::CorpConfig baseline;  // no attack, plain download
@@ -93,7 +93,7 @@ std::vector<Variant> corp_variants(double fault_intensity) {
   return variants;
 }
 
-std::vector<Variant> hotspot_variants(double fault_intensity) {
+std::vector<Variant> hotspot(double fault_intensity) {
   std::vector<Variant> variants;
 
   scenario::HotspotConfig benign;
@@ -114,17 +114,17 @@ std::vector<Variant> hotspot_variants(double fault_intensity) {
   return variants;
 }
 
-std::vector<Variant> corp_chaos_variants(double fault_intensity) {
+std::vector<Variant> corp_chaos(double fault_intensity) {
   return chaos_ladder(scenario::CorpConfig{}, fault_intensity);
 }
 
-std::vector<Variant> hotspot_chaos_variants(double fault_intensity) {
+std::vector<Variant> hotspot_chaos(double fault_intensity) {
   scenario::HotspotConfig base;
   base.hostile = true;  // clear packets here cross attacker-owned ground
   return chaos_ladder(base, fault_intensity);
 }
 
-std::vector<Variant> corp_transport_variants(double fault_intensity) {
+std::vector<Variant> corp_transport(double fault_intensity) {
   if (fault_intensity <= 0.0) fault_intensity = 1.0;
 
   // EXP-T1: the same tunnelled download over both transports, across path
@@ -178,7 +178,7 @@ std::vector<Variant> corp_transport_variants(double fault_intensity) {
   return variants;
 }
 
-std::vector<Variant> metro_variants(double /*fault_intensity*/) {
+std::vector<Variant> metro(double /*fault_intensity*/) {
   // EXP-C5 at neighborhood scale: small enough for CI smokes and the
   // default 100-replica sweep, large enough that roaming crosses many
   // grid cells and several same-channel AP boundaries.
@@ -193,7 +193,7 @@ std::vector<Variant> metro_variants(double /*fault_intensity*/) {
   return variants;
 }
 
-std::vector<Variant> metro_city_variants(double /*fault_intensity*/) {
+std::vector<Variant> metro_city(double /*fault_intensity*/) {
   // The acceptance-scale world: >= 200 APs, >= 50k STAs. Episode length is
   // trimmed so one replica stays in CPU-minutes territory.
   scenario::MetroConfig city;
@@ -208,25 +208,49 @@ std::vector<Variant> metro_city_variants(double /*fault_intensity*/) {
   return variants;
 }
 
+/// The stock ladders, in known_scenarios() order.
+constexpr std::pair<std::string_view, std::vector<Variant> (*)(double)>
+    kLadders[] = {{"corp", corp},
+                  {"hotspot", hotspot},
+                  {"corp-chaos", corp_chaos},
+                  {"hotspot-chaos", hotspot_chaos},
+                  {"corp-transport", corp_transport},
+                  {"metro", metro},
+                  {"metro-city", metro_city}};
+
+}  // namespace
+
 std::vector<Variant> stock_variants(std::string_view scenario,
                                     double fault_intensity) {
-  if (scenario == "corp") return corp_variants(fault_intensity);
-  if (scenario == "hotspot") return hotspot_variants(fault_intensity);
-  if (scenario == "corp-chaos") return corp_chaos_variants(fault_intensity);
-  if (scenario == "hotspot-chaos") {
-    return hotspot_chaos_variants(fault_intensity);
+  for (const auto& [name, ladder] : kLadders) {
+    if (name == scenario) return ladder(fault_intensity);
   }
-  if (scenario == "corp-transport") {
-    return corp_transport_variants(fault_intensity);
-  }
-  if (scenario == "metro") return metro_variants(fault_intensity);
-  if (scenario == "metro-city") return metro_city_variants(fault_intensity);
   return {};
 }
 
 std::vector<std::string_view> known_scenarios() {
-  return {"corp",           "hotspot", "corp-chaos", "hotspot-chaos",
-          "corp-transport", "metro",   "metro-city"};
+  std::vector<std::string_view> names;
+  for (const auto& ladder : kLadders) names.push_back(ladder.first);
+  return names;
+}
+
+std::vector<Variant> tournament_variants(const TournamentConfig& config) {
+  std::vector<Variant> variants;
+  for (const std::string& attacker : config.attackers) {
+    for (const std::string& detector : config.detectors) {
+      const auto add = [&](auto world) {
+        world.do_download = false;
+        world.wids_detectors = {detector};
+        world.wids_attacker = attacker;
+        world.wids_baseline_window = config.baseline_window;
+        world.wids_attack_window = config.attack_window;
+        variants.push_back(variant(attacker + "|" + detector, world));
+      };
+      if (config.scenario == "corp") add(corp_attack_config());
+      if (config.scenario == "hotspot") add(scenario::HotspotConfig{});
+    }
+  }
+  return variants;
 }
 
 }  // namespace rogue::runner

@@ -8,57 +8,46 @@
 #include <vector>
 
 #include "runner/sweep.hpp"
+#include "runner/tournament.hpp"
 
 namespace rogue::runner {
 
-/// The paper's corp-network ladder: baseline download, rogue MITM
-/// (Figure 2), rogue + §4 deauth forcing + §2.3 detection, and the VPN
-/// countermeasure under full attack (Figure 3). `fault_intensity > 0`
-/// additionally injects a seed-derived fault plan (AP/endpoint crashes,
-/// channel degradation, link flaps, deauth storms) into every variant.
-[[nodiscard]] std::vector<Variant> corp_variants(double fault_intensity = 0.0);
-
-/// The §1.2.2 hostile-hotspot ladder: benign hotspot, hostile owner,
-/// hostile owner vs. always-on home VPN.
-[[nodiscard]] std::vector<Variant> hotspot_variants(double fault_intensity = 0.0);
-
-/// Chaos ladder on the corp world: a tunnelled download under injected
-/// faults, undefended (one-shot tunnel) vs defended (keepalive/DPD +
-/// automatic reconnect with backoff). Every replica is guaranteed at least
-/// one VPN-endpoint outage, so time-to-recover is always exercised.
-[[nodiscard]] std::vector<Variant> corp_chaos_variants(double fault_intensity = 1.0);
-
-/// Chaos ladder on the hostile hotspot: same undefended/defended split,
-/// with the added sting that packets sent in the clear during tunnel gaps
-/// cross attacker-owned infrastructure.
-[[nodiscard]] std::vector<Variant> hotspot_chaos_variants(double fault_intensity = 1.0);
-
-/// Transport matrix (EXP-T1): a tunnelled download over each VPN transport
-/// (tcp = TCP-over-TCP, udp = datagram records + anti-replay window +
-/// periodic rekey) crossed with path conditions — clean, 5%/10% loss, and
-/// transport chaos (reorder + duplicate + jitter + endpoint outages).
-/// `fault_intensity` scales the chaos variants (<= 0 keeps the default).
-[[nodiscard]] std::vector<Variant> corp_transport_variants(double fault_intensity = 1.0);
-
-/// Metro roaming ladder (EXP-C5 at city scale): a street grid of APs with
-/// a waypoint-roaming STA population on the spatial-grid medium. Variants:
-/// baseline (no rogues) and evil-twin (rogue APs advertising the same
-/// ESS). `fault_intensity` is ignored — the metro episode is a roaming
-/// study, not a chaos study.
-[[nodiscard]] std::vector<Variant> metro_variants(double fault_intensity = 0.0);
-
-/// City-scale acceptance ladder: hundreds of APs, tens of thousands of
-/// STAs. One replica is minutes of CPU — meant for `--runs 1..2` scaling
-/// and determinism runs, not the default 100-replica sweep.
-[[nodiscard]] std::vector<Variant> metro_city_variants(double fault_intensity = 0.0);
-
 /// Lookup by scenario name; empty vector when unknown. `fault_intensity`
 /// overlays fault injection on the plain ladders and scales the chaos ones
-/// (<= 0 keeps the chaos scenarios at their default intensity).
+/// (<= 0 keeps the chaos scenarios at their default intensity):
+///
+///   corp            baseline download, rogue MITM (Figure 2), rogue + §4
+///                   deauth forcing + §2.3 detection, and the VPN
+///                   countermeasure under full attack (Figure 3)
+///   hotspot         the §1.2.2 ladder: benign, hostile owner, hostile
+///                   owner vs an always-on home VPN
+///   corp-chaos      a tunnelled download under injected faults (at least
+///   hotspot-chaos   one VPN-endpoint outage per replica), undefended
+///                   (one-shot tunnel) vs defended (keepalive/DPD +
+///                   reconnect with backoff); on the hotspot, clear
+///                   packets cross attacker-owned infrastructure
+///   corp-transport  EXP-T1: the tunnelled download over each VPN transport
+///                   (tcp = TCP-over-TCP, udp = datagram records +
+///                   anti-replay + periodic rekey) crossed with clean,
+///                   5%/10% loss and transport chaos paths
+///   metro           EXP-C5: a street grid of APs and waypoint-roaming STAs
+///                   on the spatial-grid medium, baseline vs evil twins
+///                   (ignores `fault_intensity`, as does metro-city)
+///   metro-city      the same at acceptance scale (210 APs, 50k STAs); one
+///                   replica is minutes of CPU, so run 1..2 replicas
 [[nodiscard]] std::vector<Variant> stock_variants(std::string_view scenario,
                                                   double fault_intensity = 0.0);
 
 /// Names accepted by stock_variants().
 [[nodiscard]] std::vector<std::string_view> known_scenarios();
+
+/// One WIDS variant per attacker x detector pair, attacker-major and named
+/// "<attacker>|<detector>": the corp world in the corp ladder's attack
+/// geometry, or the hotspot world, with the pair's roster and windows and
+/// traffic from chatter rather than the download. Crosses the rosters as
+/// given (see with_stock_rosters()); empty when the scenario is neither
+/// "corp" nor "hotspot".
+[[nodiscard]] std::vector<Variant> tournament_variants(
+    const TournamentConfig& config);
 
 }  // namespace rogue::runner

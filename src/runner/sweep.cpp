@@ -110,7 +110,26 @@ VariantSummary summarize(const Variant& variant, const RunMetrics* runs,
   return s;
 }
 
-util::Json summary_stats_json(const util::Summary& s) {
+/// The report header every report file starts with.
+util::Json header_json(const SweepConfig& config) {
+  util::Json j = util::Json::object();
+  j.set("scenario", config.scenario);
+  j.set("seed_base", config.seed_base);
+  j.set("runs_per_variant", static_cast<std::uint64_t>(config.runs));
+  return j;
+}
+
+util::Json layer_stats_json(const VariantSummary& s) {
+  util::Json j = util::Json::object();
+  for (const auto& [stat_name, summary] : s.stats) {
+    j.set(stat_name, summary_json(summary));
+  }
+  return j;
+}
+
+}  // namespace
+
+util::Json summary_json(const util::Summary& s) {
   const bool any = s.count() > 0;
   util::Json j = util::Json::object();
   j.set("count", static_cast<std::uint64_t>(s.count()));
@@ -119,8 +138,6 @@ util::Json summary_stats_json(const util::Summary& s) {
   j.set("p95", any ? s.percentile(0.95) : 0.0);
   return j;
 }
-
-}  // namespace
 
 SweepReport ExperimentRunner::run() {
   ROGUE_ASSERT_MSG(!variants_.empty(), "add_variant() before run()");
@@ -202,11 +219,7 @@ SweepReport ExperimentRunner::run() {
 }
 
 util::Json SweepReport::to_json() const {
-  util::Json j = util::Json::object();
-  j.set("scenario", config.scenario);
-  j.set("seed_base", config.seed_base);
-  j.set("runs_per_variant", static_cast<std::uint64_t>(config.runs));
-
+  util::Json j = header_json(config);
   util::Json variants = util::Json::array();
   for (std::size_t v = 0; v < summaries.size(); ++v) {
     const VariantSummary& s = summaries[v];
@@ -214,57 +227,58 @@ util::Json SweepReport::to_json() const {
     agg.set("runs", static_cast<std::uint64_t>(s.runs));
     agg.set("failed", static_cast<std::uint64_t>(s.failed));
     agg.set("capture_rate", s.capture_rate);
-    agg.set("time_to_capture_s", summary_stats_json(s.time_to_capture_s));
+    agg.set("time_to_capture_s", summary_json(s.time_to_capture_s));
     agg.set("download_rate", s.download_rate);
     agg.set("deception_rate", s.deception_rate);
     agg.set("detection_rate", s.detection_rate);
-    agg.set("detection_latency_s", summary_stats_json(s.detection_latency_s));
+    agg.set("detection_latency_s", summary_json(s.detection_latency_s));
     agg.set("vpn_rate", s.vpn_rate);
-    agg.set("vpn_goodput_kbps", summary_stats_json(s.vpn_goodput_kbps));
-    agg.set("vpn_overhead_ratio", summary_stats_json(s.vpn_overhead_ratio));
-    agg.set("faults_injected", summary_stats_json(s.faults_injected));
-    agg.set("vpn_reconnects", summary_stats_json(s.vpn_reconnects));
-    agg.set("vpn_downtime_s", summary_stats_json(s.vpn_downtime_s));
-    agg.set("time_to_recover_s", summary_stats_json(s.time_to_recover_s));
-    agg.set("clear_packets", summary_stats_json(s.clear_packets));
-    agg.set("events_fired", summary_stats_json(s.events_fired));
-    agg.set("sim_time_s", summary_stats_json(s.sim_time_s));
+    agg.set("vpn_goodput_kbps", summary_json(s.vpn_goodput_kbps));
+    agg.set("vpn_overhead_ratio", summary_json(s.vpn_overhead_ratio));
+    agg.set("faults_injected", summary_json(s.faults_injected));
+    agg.set("vpn_reconnects", summary_json(s.vpn_reconnects));
+    agg.set("vpn_downtime_s", summary_json(s.vpn_downtime_s));
+    agg.set("time_to_recover_s", summary_json(s.time_to_recover_s));
+    agg.set("clear_packets", summary_json(s.clear_packets));
+    agg.set("events_fired", summary_json(s.events_fired));
+    agg.set("sim_time_s", summary_json(s.sim_time_s));
     // Gated like the per-replica metro block: present only when a metro
     // episode contributed, so legacy reports keep their exact bytes.
     if (s.metro_runs > 0) {
       util::Json metro = util::Json::object();
       metro.set("runs", static_cast<std::uint64_t>(s.metro_runs));
-      metro.set("associations", summary_stats_json(s.metro_associations));
-      metro.set("roams", summary_stats_json(s.metro_roams));
-      metro.set("roam_p95_s", summary_stats_json(s.metro_roam_p95_s));
-      metro.set("promiscuous_rate",
-                summary_stats_json(s.metro_promiscuous_rate));
-      metro.set("assoc_fraction", summary_stats_json(s.metro_assoc_fraction));
+      metro.set("associations", summary_json(s.metro_associations));
+      metro.set("roams", summary_json(s.metro_roams));
+      metro.set("roam_p95_s", summary_json(s.metro_roam_p95_s));
+      metro.set("promiscuous_rate", summary_json(s.metro_promiscuous_rate));
+      metro.set("assoc_fraction", summary_json(s.metro_assoc_fraction));
       agg.set("metro", std::move(metro));
     }
-
-    util::Json layer_stats = util::Json::object();
-    for (const auto& [stat_name, summary] : s.stats) {
-      layer_stats.set(stat_name, summary_stats_json(summary));
-    }
-    agg.set("stats", std::move(layer_stats));
-
-    util::Json replicas = util::Json::array();
-    for (std::size_t i = v * config.runs;
-         i < (v + 1) * config.runs && i < runs.size(); ++i) {
-      replicas.push_back(runner::to_json(runs[i], /*include_wall=*/false));
-    }
+    agg.set("stats", layer_stats_json(s));
 
     util::Json entry = util::Json::object();
     entry.set("name", s.name);
     entry.set("aggregate", std::move(agg));
-    entry.set("runs", std::move(replicas));
+    entry.set("runs", runs_json(v));
     variants.push_back(std::move(entry));
   }
   j.set("variants", std::move(variants));
-
   // Failures surfaced at top level so operators (and CI) need not walk
   // every replica record to find them.
+  j.set("failures", failures_json());
+  return j;
+}
+
+util::Json SweepReport::runs_json(std::size_t v) const {
+  util::Json replicas = util::Json::array();
+  for (std::size_t i = v * config.runs;
+       i < (v + 1) * config.runs && i < runs.size(); ++i) {
+    replicas.push_back(runner::to_json(runs[i], /*include_wall=*/false));
+  }
+  return replicas;
+}
+
+util::Json SweepReport::failures_json() const {
   util::Json failures = util::Json::array();
   for (const RunMetrics& run : runs) {
     if (!run.failed) continue;
@@ -287,8 +301,7 @@ util::Json SweepReport::to_json() const {
     }
     failures.push_back(std::move(f));
   }
-  j.set("failures", std::move(failures));
-  return j;
+  return failures;
 }
 
 util::Json SweepReport::chrome_trace_events() const {
@@ -343,19 +356,12 @@ std::string SweepReport::timeseries_jsonl() const {
 }
 
 util::Json SweepReport::stats_json() const {
-  util::Json j = util::Json::object();
-  j.set("scenario", config.scenario);
-  j.set("seed_base", config.seed_base);
-  j.set("runs_per_variant", static_cast<std::uint64_t>(config.runs));
+  util::Json j = header_json(config);
   util::Json variants = util::Json::array();
   for (const VariantSummary& s : summaries) {
-    util::Json layer_stats = util::Json::object();
-    for (const auto& [stat_name, summary] : s.stats) {
-      layer_stats.set(stat_name, summary_stats_json(summary));
-    }
     util::Json entry = util::Json::object();
     entry.set("name", s.name);
-    entry.set("stats", std::move(layer_stats));
+    entry.set("stats", layer_stats_json(s));
     variants.push_back(std::move(entry));
   }
   j.set("variants", std::move(variants));

@@ -107,6 +107,11 @@ struct SweepReport {
   /// Machine-readable report. Deterministic: depends only on the
   /// experiment parameters and seeds, never on jobs or host speed.
   [[nodiscard]] util::Json to_json() const;
+  /// The serialized replica records of variant `v`, in seed order.
+  [[nodiscard]] util::Json runs_json(std::size_t v) const;
+  /// (variant, seed, error) per failed replica — the report's "failures"
+  /// array. With tracing on, each also carries its flight-recorder tail.
+  [[nodiscard]] util::Json failures_json() const;
   /// Just the per-variant layer-counter aggregates (the --stats-out file).
   /// Deterministic under the same contract as to_json().
   [[nodiscard]] util::Json stats_json() const;
@@ -125,6 +130,9 @@ struct SweepReport {
   /// Replicas that threw instead of completing (drives CLI exit codes).
   [[nodiscard]] std::size_t failed_count() const;
 };
+
+/// {count, mean, p50, p95} of one aggregate, zeros when it is empty.
+[[nodiscard]] util::Json summary_json(const util::Summary& s);
 
 class ExperimentRunner {
  public:

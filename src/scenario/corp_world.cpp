@@ -122,15 +122,8 @@ void CorpWorld::build_wired() {
   endpoint_->start();
 }
 
-namespace {
-dot11::SecurityMode resolve_security(const CorpConfig& cfg) {
-  if (cfg.security) return *cfg.security;
-  return cfg.wep ? dot11::SecurityMode::kWep : dot11::SecurityMode::kOpen;
-}
-}  // namespace
-
 void CorpWorld::build_wireless() {
-  const dot11::SecurityMode security = resolve_security(config_);
+  const dot11::SecurityMode security = config_.security;
   // Legitimate AP, bridged onto the corp LAN at L2.
   dot11::ApConfig ap_cfg;
   ap_cfg.ssid = "CORP";
@@ -195,11 +188,10 @@ attack::RogueGateway& CorpWorld::deploy_rogue() {
   ROGUE_ASSERT_MSG(started_, "start() the world before deploying the rogue");
   ROGUE_ASSERT_MSG(!rogue_, "rogue already deployed");
 
-  const dot11::SecurityMode security = resolve_security(config_);
+  const dot11::SecurityMode security = config_.security;
   attack::RogueGatewayConfig cfg;
   cfg.ssid = "CORP";
   cfg.security = security;
-  cfg.use_wep = security == dot11::SecurityMode::kWep;
   cfg.wep_key =
       security == dot11::SecurityMode::kWep ? config_.wep_key : util::Bytes{};
   cfg.wpa_psk = security == dot11::SecurityMode::kWpaPsk ? config_.wpa_psk
@@ -254,7 +246,7 @@ attack::DeauthAttacker& CorpWorld::start_deauth_forcing(sim::Time period) {
 }
 
 ClientKit::Topology CorpWorld::topology() {
-  const bool privacy = resolve_security(config_) != dot11::SecurityMode::kOpen;
+  const bool privacy = config_.security != dot11::SecurityMode::kOpen;
   ClientKit::Topology t;
   t.client = victim_.get();
   t.ap = legit_ap_.get();

@@ -31,12 +31,11 @@ namespace rogue::scenario {
 struct CorpConfig : EpisodeConfig {
   CorpConfig() { vpn_psk = util::to_bytes("corp-vpn-preshared-authenticator"); }
 
-  // Link-layer "security" (the mechanisms §2.1 shows to be insufficient).
-  bool wep = true;
+  // Link-layer "security" (the mechanisms §2.1 shows to be insufficient):
+  // kOpen / kWep / kWpaPsk / kEap (§2.2 extension — the rogue is
+  // configured with the same credentials either way).
+  dot11::SecurityMode security = dot11::SecurityMode::kWep;
   util::Bytes wep_key = util::to_bytes("SECRETWEPKEY1");  // 13 bytes (WEP-104)
-  /// When set, overrides `wep`: kOpen / kWep / kWpaPsk (§2.2 extension —
-  /// the rogue is configured with the same credentials either way).
-  std::optional<dot11::SecurityMode> security;
   util::Bytes wpa_psk = util::to_bytes("corp-wpa-passphrase");
   crypto::WepIvPolicy iv_policy = crypto::WepIvPolicy::kSequential;
   dot11::AuthAlgorithm auth_algorithm = dot11::AuthAlgorithm::kOpenSystem;

@@ -110,7 +110,7 @@ struct AirFixture {
     cfg.bssid = MacAddr::from_id(0xA9);
     cfg.channel = 1;
     if (wep) {
-      cfg.privacy = true;
+      cfg.security = dot11::SecurityMode::kWep;
       cfg.wep_key = to_bytes("SECRETWEPKEY1");
     }
     return cfg;
@@ -121,7 +121,7 @@ struct AirFixture {
     cfg.target_ssid = "CORP";
     cfg.scan_channels = {1};
     if (wep) {
-      cfg.use_wep = true;
+      cfg.security = dot11::SecurityMode::kWep;
       cfg.wep_key = to_bytes("SECRETWEPKEY1");
     }
     return cfg;

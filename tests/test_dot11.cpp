@@ -338,7 +338,7 @@ TEST(ApSta, SsidMismatchNeverAssociates) {
 TEST(ApSta, PrivacyMismatchPreventsJoin) {
   WirelessFixture w;
   auto apc = w.ap_config();
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRE");
   AccessPoint ap(w.sim, w.medium, apc);
   Station sta(w.sim, w.medium, w.sta_config());  // no WEP configured
@@ -352,11 +352,11 @@ TEST(ApSta, PrivacyMismatchPreventsJoin) {
 TEST(ApSta, WepDataRoundTrip) {
   WirelessFixture w;
   auto apc = w.ap_config();
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRETWEPKEY1");
   AccessPoint ap(w.sim, w.medium, apc);
   auto stc = w.sta_config();
-  stc.use_wep = true;
+  stc.security = SecurityMode::kWep;
   stc.wep_key = to_bytes("SECRETWEPKEY1");
   Station sta(w.sim, w.medium, stc);
   ap.radio().set_position({3, 0});
@@ -389,11 +389,11 @@ TEST(ApSta, WepDataRoundTrip) {
 TEST(ApSta, WrongWepKeyDataDropped) {
   WirelessFixture w;
   auto apc = w.ap_config();
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRETWEPKEY1");
   AccessPoint ap(w.sim, w.medium, apc);
   auto stc = w.sta_config();
-  stc.use_wep = true;
+  stc.security = SecurityMode::kWep;
   stc.wep_key = to_bytes("WRONGKEY12345");
   Station sta(w.sim, w.medium, stc);
   ap.radio().set_position({3, 0});
@@ -415,12 +415,12 @@ TEST(ApSta, WrongWepKeyDataDropped) {
 TEST(ApSta, SharedKeyAuthSucceedsWithKey) {
   WirelessFixture w;
   auto apc = w.ap_config();
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRETWEPKEY1");
   apc.auth_algorithm = AuthAlgorithm::kSharedKey;
   AccessPoint ap(w.sim, w.medium, apc);
   auto stc = w.sta_config();
-  stc.use_wep = true;
+  stc.security = SecurityMode::kWep;
   stc.wep_key = to_bytes("SECRETWEPKEY1");
   stc.auth_algorithm = AuthAlgorithm::kSharedKey;
   Station sta(w.sim, w.medium, stc);
@@ -434,12 +434,12 @@ TEST(ApSta, SharedKeyAuthSucceedsWithKey) {
 TEST(ApSta, SharedKeyAuthFailsWithWrongKey) {
   WirelessFixture w;
   auto apc = w.ap_config();
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRETWEPKEY1");
   apc.auth_algorithm = AuthAlgorithm::kSharedKey;
   AccessPoint ap(w.sim, w.medium, apc);
   auto stc = w.sta_config();
-  stc.use_wep = true;
+  stc.security = SecurityMode::kWep;
   stc.wep_key = to_bytes("WRONGKEY12345");
   stc.auth_algorithm = AuthAlgorithm::kSharedKey;
   Station sta(w.sim, w.medium, stc);

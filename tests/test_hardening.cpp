@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "attack/arp_spoof.hpp"
-#include "attack/pcap.hpp"
 #include "scenario/corp_world.hpp"
 #include "attack/sniffer.hpp"
 #include "dot11/ap.hpp"
@@ -25,22 +24,22 @@ using util::to_bytes;
 // ---- pcap ---------------------------------------------------------------------
 
 TEST(Pcap, EmptyFileParses) {
-  attack::PcapWriter w;
-  const auto parsed = attack::pcap_parse(w.data());
+  obs::PcapWriter w;
+  const auto parsed = obs::pcap_parse(w.data());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->link_type, attack::PcapWriter::kLinkTypeIeee80211);
+  EXPECT_EQ(parsed->link_type, obs::PcapWriter::kLinkTypeIeee80211);
   EXPECT_TRUE(parsed->records.empty());
 }
 
 TEST(Pcap, RecordsRoundTrip) {
-  attack::PcapWriter w(attack::PcapWriter::kLinkTypeEthernet);
+  obs::PcapWriter w(obs::PcapWriter::kLinkTypeEthernet);
   w.add_frame(1'500'000, to_bytes("frame-one"));
   w.add_frame(2'000'001, to_bytes("frame-two-longer"));
   EXPECT_EQ(w.frames(), 2u);
 
-  const auto parsed = attack::pcap_parse(w.data());
+  const auto parsed = obs::pcap_parse(w.data());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->link_type, attack::PcapWriter::kLinkTypeEthernet);
+  EXPECT_EQ(parsed->link_type, obs::PcapWriter::kLinkTypeEthernet);
   ASSERT_EQ(parsed->records.size(), 2u);
   EXPECT_EQ(parsed->records[0].timestamp_us, 1'500'000u);
   EXPECT_EQ(util::to_string(parsed->records[0].frame), "frame-one");
@@ -49,16 +48,16 @@ TEST(Pcap, RecordsRoundTrip) {
 }
 
 TEST(Pcap, RejectsCorruptImages) {
-  attack::PcapWriter w;
+  obs::PcapWriter w;
   w.add_frame(1, to_bytes("abc"));
   Bytes img = w.data();
-  EXPECT_FALSE(attack::pcap_parse(util::ByteView(img).subspan(0, 10)).has_value());
+  EXPECT_FALSE(obs::pcap_parse(util::ByteView(img).subspan(0, 10)).has_value());
   img[0] ^= 0xff;  // break magic
-  EXPECT_FALSE(attack::pcap_parse(img).has_value());
+  EXPECT_FALSE(obs::pcap_parse(img).has_value());
   // Truncated record body.
   Bytes trunc = w.data();
   trunc.pop_back();
-  EXPECT_FALSE(attack::pcap_parse(trunc).has_value());
+  EXPECT_FALSE(obs::pcap_parse(trunc).has_value());
 }
 
 TEST(Pcap, SnifferCaptureContainsBeacons) {
@@ -75,14 +74,14 @@ TEST(Pcap, SnifferCaptureContainsBeacons) {
   sc.channel = 1;
   attack::Sniffer sniffer(sim, medium, sc);
   sniffer.radio().set_position({0, 1});
-  attack::PcapWriter pcap;
+  obs::PcapWriter pcap;
   sniffer.set_pcap(&pcap);
 
   ap.start();
   sim.run_until(2 * sim::kSecond);
   EXPECT_GT(pcap.frames(), 10u);
 
-  const auto parsed = attack::pcap_parse(pcap.data());
+  const auto parsed = obs::pcap_parse(pcap.data());
   ASSERT_TRUE(parsed.has_value());
   std::size_t beacons = 0;
   for (const auto& rec : parsed->records) {
@@ -97,7 +96,7 @@ TEST(Pcap, SnifferCaptureContainsBeacons) {
 }
 
 TEST(Pcap, WriteFileToDisk) {
-  attack::PcapWriter w;
+  obs::PcapWriter w;
   w.add_frame(42, to_bytes("payload"));
   const std::string path = "/tmp/rogue_test_capture.pcap";
   ASSERT_TRUE(w.write_file(path));

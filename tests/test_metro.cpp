@@ -3,7 +3,8 @@
 // world that fits in one cell neighborhood must reproduce the digests an
 // unbucketed medium produced), cell membership consistency under churn,
 // localized plan invalidation, chaos-delayed delivery revalidation, and
-// metro sweep determinism.
+// the metro ladder's evil-twin outcome. Its jobs determinism is checked
+// with the other stock ladders in test_jobs_determinism.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -343,34 +344,6 @@ scenario::MetroConfig small_metro(std::size_t rogues) {
   cfg.rogue_count = rogues;
   cfg.episode_duration = 6 * sim::kSecond;
   return cfg;
-}
-
-// The metro sweep report must be byte-identical across worker counts —
-// the CI smoke runs the stock ladder; this covers the machinery at unit
-// scale.
-TEST(Metro, ReportBytesIdenticalAcrossJobs) {
-  const auto run_once = [](std::size_t jobs) {
-    SweepConfig cfg;
-    cfg.scenario = "metro";
-    cfg.seed_base = 21;
-    cfg.runs = 2;
-    cfg.jobs = jobs;
-    ExperimentRunner exp(cfg);
-    for (const std::size_t rogues : {std::size_t{0}, std::size_t{2}}) {
-      const auto mk = small_metro(rogues);
-      exp.add_variant(rogues == 0 ? "baseline" : "twin",
-                      [mk](std::uint64_t) {
-                        return std::make_unique<scenario::MetroWorld>(mk);
-                      });
-    }
-    return exp.run().to_json().dump(2);
-  };
-
-  const std::string baseline = run_once(1);
-  ASSERT_NE(baseline.find("\"metro\""), std::string::npos);
-  for (const std::size_t jobs : {4u, 8u}) {
-    EXPECT_EQ(run_once(jobs), baseline) << "bytes changed at jobs=" << jobs;
-  }
 }
 
 // The scenario's reason to exist: evil twins advertising the ESS attract

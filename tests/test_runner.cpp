@@ -1,6 +1,7 @@
-// Experiment-runner tests: sweep determinism across worker-thread counts
-// (the API's core guarantee), RunMetrics JSON round-trip, and the stock
-// variant registry.
+// Experiment-runner tests: report shape and aggregates, failure isolation,
+// RunMetrics JSON round-trip, the stock variant registry, and the pinned
+// report and frame digests. Determinism across worker counts, the API's
+// core guarantee, is test_jobs_determinism.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,23 +53,6 @@ ExperimentRunner quick_runner(std::size_t jobs, std::size_t runs) {
     return std::make_unique<scenario::CorpWorld>(quick_corp_attack());
   });
   return exp;
-}
-
-TEST(Sweep, AggregatesAreIdenticalAcrossThreadCounts) {
-  // The acceptance property: an identical seed list yields byte-identical
-  // serialized reports at 1, 2, and 8 worker threads.
-  std::string baseline;
-  for (const std::size_t jobs : {1u, 2u, 8u}) {
-    ExperimentRunner exp = quick_runner(jobs, 2);
-    const SweepReport report = exp.run();
-    const std::string text = report.to_json().dump(2);
-    if (baseline.empty()) {
-      baseline = text;
-    } else {
-      EXPECT_EQ(text, baseline) << "report bytes changed at jobs=" << jobs;
-    }
-  }
-  EXPECT_FALSE(baseline.empty());
 }
 
 TEST(Sweep, ReportShapeAndAggregates) {
@@ -305,61 +289,6 @@ TEST(Sweep, FailedReplicasAreIsolatedAndReported) {
   }
 }
 
-TEST(Sweep, ChaosReportBytesAreIdenticalAcrossJobsAndReruns) {
-  // Satellite of the determinism guarantee: the *fault schedules* (and so
-  // every downstream metric) must also be a pure function of (variant,
-  // seed), never of worker interleaving or rerun count.
-  auto run_once = [](std::size_t jobs) {
-    SweepConfig cfg;
-    cfg.scenario = "corp-chaos";
-    cfg.seed_base = 7;
-    cfg.runs = 2;
-    cfg.jobs = jobs;
-    ExperimentRunner exp(cfg);
-    for (auto& v : corp_chaos_variants(2.0)) {
-      exp.add_variant(std::move(v.name), std::move(v.make));
-    }
-    return exp.run().to_json().dump(2);
-  };
-
-  const std::string baseline = run_once(1);
-  ASSERT_FALSE(baseline.empty());
-  for (const std::size_t jobs : {4u, 8u}) {
-    EXPECT_EQ(run_once(jobs), baseline) << "bytes changed at jobs=" << jobs;
-  }
-  // Rerun at an already-tested jobs value: no hidden global state.
-  EXPECT_EQ(run_once(4), baseline);
-}
-
-TEST(Sweep, TransportChaosReportBytesAreIdenticalAcrossJobs) {
-  // EXP-T1's chaos cells stress the paths most likely to pick up hidden
-  // nondeterminism — chaos-delayed medium deliveries, rekey timers, replay
-  // windows — so pin the whole serialized report across worker counts.
-  // Only the chaos cells run here; the clean/loss cells share their code
-  // paths with the tests above.
-  auto run_once = [](std::size_t jobs) {
-    SweepConfig cfg;
-    cfg.scenario = "corp-transport";
-    cfg.seed_base = 31;
-    cfg.runs = 2;
-    cfg.jobs = jobs;
-    ExperimentRunner exp(cfg);
-    for (auto& v : corp_transport_variants(2.0)) {
-      if (v.name.find("chaos") == std::string::npos) continue;
-      exp.add_variant(std::move(v.name), std::move(v.make));
-    }
-    return exp.run().to_json().dump(2);
-  };
-
-  const std::string baseline = run_once(1);
-  ASSERT_FALSE(baseline.empty());
-  // The UDP cells must carry the transport block; TCP cells must not.
-  EXPECT_NE(baseline.find("\"transport\""), std::string::npos);
-  for (const std::size_t jobs : {4u, 8u}) {
-    EXPECT_EQ(run_once(jobs), baseline) << "bytes changed at jobs=" << jobs;
-  }
-}
-
 TEST(Sweep, ReportBytesPinnedAcrossJobsAndArenaPool) {
   // Determinism smoke for the perf work: the serialized sweep report must
   // be byte-identical at --jobs 1/4/8, with and without the per-replica
@@ -533,16 +462,13 @@ std::unique_ptr<scenario::World> stock_world(std::string_view scenario,
   throw std::invalid_argument("no stock variant " + std::string(name));
 }
 
-/// One CorpWorld WIDS pair episode, as the corp tournament builds it.
+/// One corp tournament pair's world.
 std::unique_ptr<scenario::World> wids_world(std::string attacker,
                                             std::string detector) {
-  scenario::CorpConfig c;
-  c.victim_to_legit_m = 20.0;
-  c.victim_to_rogue_m = 4.0;
-  c.do_download = false;
-  c.wids_detectors = {std::move(detector)};
-  c.wids_attacker = std::move(attacker);
-  return std::make_unique<scenario::CorpWorld>(c);
+  TournamentConfig tc;
+  tc.attackers = {std::move(attacker)};
+  tc.detectors = {std::move(detector)};
+  return tournament_variants(tc).front().make(7);
 }
 
 // Between them these worlds send every kind of management frame the

@@ -124,7 +124,7 @@ TEST(CorpWorld, WepInsiderRogueWorksBecauseKeyIsShared) {
   // §2.1: WEP "provides no protection what so ever" against this attack —
   // the rogue is configured with the same shared key.
   CorpConfig cfg;
-  cfg.wep = true;
+  cfg.security = dot11::SecurityMode::kWep;
   cfg.mac_filtering = true;
   cfg.victim_to_legit_m = 20.0;
   cfg.victim_to_rogue_m = 4.0;

@@ -1,7 +1,7 @@
-// Tournament runner tests: WIDS metrics JSON round-trip, byte-determinism
-// of the report across worker counts, the evasion acceptance matrix, and
-// re-derivability of the per-pair aggregates from the serialized per-run
-// records.
+// Tournament runner tests: WIDS metrics JSON round-trip, the evasion
+// acceptance matrix, re-derivability of the per-pair aggregates from the
+// serialized per-run records, and the stock rosters. Byte-determinism
+// across worker counts is test_jobs_determinism.cpp.
 #include <gtest/gtest.h>
 
 #include "runner/metrics.hpp"
@@ -69,18 +69,6 @@ TEST(WidsMetrics, LegacyRecordsHaveNoWidsBlock) {
   const auto parsed = run_metrics_from_json(j);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->metrics.wids_enabled);
-}
-
-TEST(Tournament, ReportBytesIdenticalAcrossJobs) {
-  TournamentConfig cfg = small_config();
-  cfg.jobs = 1;
-  const std::string one = run_tournament(cfg).to_json().dump(2);
-  cfg.jobs = 4;
-  const std::string four = run_tournament(cfg).to_json().dump(2);
-  cfg.jobs = 8;
-  const std::string eight = run_tournament(cfg).to_json().dump(2);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one, eight);
 }
 
 TEST(Tournament, EvasionMatrixAcceptance) {
@@ -164,11 +152,23 @@ TEST(Tournament, UnknownRosterNameFailsReplicaNotPool) {
 }
 
 TEST(Tournament, StockRostersCoverTheMatrix) {
-  EXPECT_GE(stock_tournament_attackers("corp").size(), 4u);
-  EXPECT_GE(stock_tournament_detectors().size(), 4u);
+  TournamentConfig corp;
+  corp.scenario = "corp";
+  corp = with_stock_rosters(corp);
+  EXPECT_GE(corp.attackers.size(), 4u);
+  EXPECT_GE(corp.detectors.size(), 4u);
   // The hotspot roster drops the rogue-gateway stack but keeps the rest.
-  const auto hotspot = stock_tournament_attackers("hotspot");
-  for (const std::string& a : hotspot) EXPECT_NE(a, "rogue-gateway");
+  TournamentConfig hotspot;
+  hotspot.scenario = "hotspot";
+  hotspot = with_stock_rosters(hotspot);
+  EXPECT_EQ(hotspot.attackers.size(), corp.attackers.size() - 1);
+  for (const std::string& a : hotspot.attackers) EXPECT_NE(a, "rogue-gateway");
+  // Given rosters are kept as they are.
+  TournamentConfig given;
+  given.attackers = {"cloner"};
+  given = with_stock_rosters(given);
+  EXPECT_EQ(given.attackers, std::vector<std::string>{"cloner"});
+  EXPECT_EQ(given.detectors, corp.detectors);
 }
 
 }  // namespace

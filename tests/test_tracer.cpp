@@ -1,9 +1,9 @@
 // Causal tracer / flight recorder tests: seed-deterministic id derivation,
 // ring wraparound against a reference model, span-forest reconstruction,
 // Chrome trace-event schema round-trip, a scripted WPA handshake asserted
-// node-by-node, sweep-level byte determinism of the trace and timeseries
-// exports across worker counts, stats counters against their instant
-// counts, and the failed-replica flight-recorder tail.
+// node-by-node, stats counters against their instant counts, and the
+// failed-replica flight-recorder tail. Byte determinism of the trace and
+// timeseries exports across worker counts is test_jobs_determinism.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -374,55 +374,6 @@ scenario::CorpConfig quick_corp() {
   cfg.capture_window = 8 * sim::kSecond;
   cfg.download_window = 30 * sim::kSecond;
   return cfg;
-}
-
-runner::ExperimentRunner traced_runner(std::size_t jobs) {
-  runner::SweepConfig cfg;
-  cfg.scenario = "corp";
-  cfg.seed_base = 100;
-  cfg.runs = 2;
-  cfg.jobs = jobs;
-  cfg.trace = true;
-  cfg.trace_ring_events = 4096;
-  cfg.timeseries_dt_s = 5.0;
-  runner::ExperimentRunner exp(cfg);
-  exp.add_variant("rogue+deauth", [](std::uint64_t) {
-    return std::make_unique<scenario::CorpWorld>(quick_corp());
-  });
-  return exp;
-}
-
-TEST(SweepTrace, TraceAndTimeseriesBytesIdenticalAcrossJobs) {
-  runner::ExperimentRunner one = traced_runner(1);
-  const runner::SweepReport r1 = one.run();
-  runner::ExperimentRunner four = traced_runner(4);
-  const runner::SweepReport r4 = four.run();
-
-  const std::string trace1 = r1.chrome_trace_json().dump();
-  const std::string trace4 = r4.chrome_trace_json().dump();
-  ASSERT_FALSE(trace1.empty());
-  EXPECT_GT(trace1.size(), 1000u) << "traced corp episode looks empty";
-  EXPECT_EQ(trace1, trace4) << "trace bytes changed with worker count";
-
-  const std::string series1 = r1.timeseries_jsonl();
-  const std::string series4 = r4.timeseries_jsonl();
-  EXPECT_FALSE(series1.empty()) << "timeseries sampler never fired";
-  EXPECT_EQ(series1, series4) << "timeseries bytes changed with jobs";
-
-  // Every replica contributed samples, and every line parses back.
-  std::size_t lines = 0;
-  std::size_t start = 0;
-  while (start < series1.size()) {
-    std::size_t end = series1.find('\n', start);
-    if (end == std::string::npos) end = series1.size();
-    const auto parsed = util::Json::parse(
-        std::string_view(series1).substr(start, end - start));
-    ASSERT_TRUE(parsed.has_value()) << "unparsable timeseries line " << lines;
-    EXPECT_NE(parsed->find("stats"), nullptr);
-    ++lines;
-    start = end + 1;
-  }
-  EXPECT_GE(lines, 2u * 4u) << "expected multiple samples per replica";
 }
 
 TEST(SweepTrace, DisabledTracerAddsNothingToTheReport) {

@@ -264,14 +264,14 @@ TEST(WpaApSta, WepReplayIsAcceptedForContrast) {
   apc.ssid = "CORP";
   apc.bssid = MacAddr::from_id(0xA9);
   apc.channel = 1;
-  apc.privacy = true;
+  apc.security = SecurityMode::kWep;
   apc.wep_key = to_bytes("SECRETWEPKEY1");
   AccessPoint ap(sim, medium, apc);
   StationConfig stc;
   stc.mac = MacAddr::from_id(0x51);
   stc.target_ssid = "CORP";
   stc.scan_channels = {1};
-  stc.use_wep = true;
+  stc.security = SecurityMode::kWep;
   stc.wep_key = to_bytes("SECRETWEPKEY1");
   Station sta(sim, medium, stc);
   ap.radio().set_position({3, 0});
