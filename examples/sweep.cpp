@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +24,7 @@
 
 #include "obs/pcap.hpp"
 #include "obs/profiler.hpp"
+#include "obs/tracer.hpp"
 #include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
 #include "runner/tournament.hpp"
@@ -58,8 +61,8 @@ void usage(const char* argv0) {
       "\n"
       "  --faults X    inject a seed-derived fault plan at intensity X\n"
       "                (faults per simulated minute; overlays the plain\n"
-      "                scenarios, scales the chaos ones; ignored by the\n"
-      "                metro roaming scenarios; not with --tournament)\n"
+      "                scenarios, scales the chaos ones; not with the\n"
+      "                metro roaming scenarios or --tournament)\n"
       "  metro         spatial-grid roaming ladder (EXP-C5): street-grid\n"
       "                APs, waypoint-roaming STAs, evil-twin promiscuity\n"
       "  metro-city    the same at acceptance scale (210 APs, 50k STAs);\n"
@@ -169,7 +172,7 @@ bool write_file(const char* what, const std::string& path,
 /// host cost next to the sim-time tracks; its timestamps are host
 /// measurements, hence nondeterministic and excluded from the trace file's
 /// byte-determinism contract (compare traces made without --profile).
-void append_profile_track(util::Json& events, std::uint64_t pid,
+void append_profile_track(obs::ChromeTraceWriter& trace, std::uint64_t pid,
                           const std::string& variant,
                           const obs::Profiler::Report& profile) {
   util::Json meta_args = util::Json::object();
@@ -180,7 +183,7 @@ void append_profile_track(util::Json& events, std::uint64_t pid,
   meta.set("pid", pid);
   meta.set("tid", std::uint64_t{0});
   meta.set("args", std::move(meta_args));
-  events.push_back(std::move(meta));
+  trace.event(meta);
 
   std::uint64_t cursor_ns = 0;
   for (const obs::Profiler::Row& row : profile.rows) {
@@ -197,7 +200,7 @@ void append_profile_track(util::Json& events, std::uint64_t pid,
     e.set("pid", pid);
     e.set("tid", std::uint64_t{0});
     e.set("args", std::move(args));
-    events.push_back(std::move(e));
+    trace.event(e);
     cursor_ns += row.self_ns;
   }
 }
@@ -324,6 +327,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
+  if (faults_given && !runner::takes_faults(cfg.scenario)) {
+    std::fprintf(stderr, "--faults does not apply to --scenario %s\n",
+                 cfg.scenario.c_str());
+    return 2;
+  }
 
   runner::ExperimentRunner exp(cfg);
   // Copies, not moves: the --pcap-out / --profile extra replicas below
@@ -409,15 +417,25 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    util::Json events = report.chrome_trace_events();
+    // Streamed event by event: a metro trace is tens of MB as text, and
+    // many times that as one JSON tree.
+    std::ofstream file(trace_path);
+    obs::ChromeTraceWriter trace(file);
+    report.write_chrome_trace(trace);
     for (std::size_t i = 0; i < profiles.size(); ++i) {
-      append_profile_track(events, 1000000 + i, profiles[i].first,
+      append_profile_track(trace, 1000000 + i, profiles[i].first,
                            profiles[i].second);
     }
-    util::Json trace = util::Json::object();
-    trace.set("traceEvents", std::move(events));
-    trace.set("displayTimeUnit", "ms");
-    if (!write_file("trace", trace_path, trace.dump())) return 1;
+    trace.finish();
+    file << '\n';
+    file.close();
+    if (!file) {
+      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+      return 1;
+    }
+    std::printf("trace written to %s (%llu bytes)\n", trace_path.c_str(),
+                static_cast<unsigned long long>(
+                    std::filesystem::file_size(trace_path)));
   }
 
   if (!timeseries_path.empty()) {

@@ -31,8 +31,10 @@ void Detector::attach(const DetectorEnv& env) {
   sim_ = env.sim;
   trace_ = env.trace;
   if (sim_ != nullptr) {
-    stat_alerts_ =
-        sim_->stats().counter("detect." + std::string(name()) + ".alerts");
+    if (!publication_) {
+      alerts_stat_ = "detect." + std::string(name()) + ".alerts";
+      publication_.emplace(sim_->stats(), *this);
+    }
     tracer_alert_ = sim_->tracer().name("detect.alert");
     tracer_actor_ = sim_->tracer().actor("detect:" + std::string(name()));
   }
@@ -40,9 +42,12 @@ void Detector::attach(const DetectorEnv& env) {
 
 void Detector::observe(const dot11::FrameView&, const phy::RxInfo&) {}
 
+void Detector::publish(obs::Tallies& out) const {
+  out.counter(alerts_stat_, alerts_.size());
+}
+
 void Detector::emit(Alert alert) {
   if (sim_ != nullptr) {
-    sim_->stats().add(stat_alerts_);
     // Runs inside the offending frame's delivery scope, so the alert
     // inherits the attack frame's trace id — chain reconstruction links
     // attacker tx -> monitor rx -> this alert with no extra plumbing.

@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -115,13 +116,15 @@ class Detector {
   /// crossed the threshold (deterministic).
   [[nodiscard]] std::vector<net::MacAddr> suspects(std::size_t min_alerts = 1) const;
   [[nodiscard]] std::uint64_t frames_observed() const { return frames_; }
+  /// detect.<name>.alerts, read by the stats registry once attached.
+  void publish(obs::Tallies& out) const;
 
   /// Forward every alert as it fires (the composite detector's plumbing).
   void set_alert_sink(AlertSink sink) { sink_ = std::move(sink); }
 
  protected:
-  /// Publish an alert: per-name obs counter, Tracer instant, a kWarn note
-  /// in the world's trace, the sink, then the alert list, in that order.
+  /// Publish an alert: Tracer instant, a kWarn note in the world's trace,
+  /// the sink, then the alert list (the stats tally), in that order.
   void emit(Alert alert);
   /// True the first time (transmitter, kind) is seen — detectors that
   /// would otherwise re-alert on every frame gate emit() on this.
@@ -140,13 +143,14 @@ class Detector {
  private:
   sim::Simulator* sim_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  obs::CounterId stat_alerts_;
   obs::TraceNameId tracer_alert_;
   obs::TraceActorId tracer_actor_;
   std::vector<std::unique_ptr<phy::Radio>> radios_;
   std::vector<Alert> alerts_;
   std::set<std::pair<net::MacAddr, AlertKind>> emitted_;
   AlertSink sink_;
+  std::string alerts_stat_;  ///< "detect.<name>.alerts"
+  std::optional<obs::Publication> publication_;  ///< from attach() on
 };
 
 /// Runs a panel of child detectors as one: children's alerts surface

@@ -36,13 +36,6 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
   radio_.set_receive_handler(
       [this](util::ByteView raw, const phy::RxInfo& info) { on_receive(raw, info); });
 
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_rx_mgmt_ = stats.counter("dot11.ap.rx_mgmt");
-  stat_rx_data_ = stats.counter("dot11.ap.rx_data");
-  stat_rx_retry_ = stats.counter("dot11.ap.rx_retry");
-  stat_deauth_rx_ = stats.counter("dot11.ap.deauth_rx");
-  stat_deauth_tx_ = stats.counter("dot11.ap.deauth_tx");
-  stat_beacons_ = stats.counter("dot11.ap.beacons_tx");
   rx_scope_ = sim_.profiler().intern("dot11.ap.rx");
   obs::Tracer& tracer = sim_.tracer();
   trace_auth_ = tracer.name("dot11.auth");
@@ -53,6 +46,15 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
   trace_wpa_span_ = tracer.name("dot11.wpa");
   trace_wpa_m2_ = tracer.name("dot11.wpa.m2");
   trace_wpa_m3_ = tracer.name("dot11.wpa.m3");
+}
+
+void AccessPoint::publish(obs::Tallies& out) const {
+  out.counter("dot11.ap.rx_mgmt", counters_.rx_mgmt);
+  out.counter("dot11.ap.rx_data", counters_.rx_data);
+  out.counter("dot11.ap.rx_retry", counters_.rx_retry);
+  out.counter("dot11.ap.deauth_rx", counters_.deauths_received);
+  out.counter("dot11.ap.deauth_tx", counters_.deauths_sent);
+  out.counter("dot11.ap.beacons_tx", counters_.beacons_sent);
 }
 
 void AccessPoint::start() {
@@ -141,7 +143,6 @@ void AccessPoint::send_beacon() {
   b.channel = config_.channel;
   send_mgmt(MgmtSubtype::kBeacon, net::MacAddr::broadcast(), b);
   ++counters_.beacons_sent;
-  sim_.stats().add(stat_beacons_);
 }
 
 void AccessPoint::on_receive(util::ByteView raw, const phy::RxInfo& info) {
@@ -150,9 +151,8 @@ void AccessPoint::on_receive(util::ByteView raw, const phy::RxInfo& info) {
   const obs::Profiler::Scope scope(sim_.profiler(), rx_scope_);
   const auto frame = FrameView::parse(raw);
   if (!frame) return;
-  obs::StatsRegistry& stats = sim_.stats();
-  stats.add(frame->type == FrameType::kData ? stat_rx_data_ : stat_rx_mgmt_);
-  if (frame->retry) stats.add(stat_rx_retry_);
+  ++(frame->type == FrameType::kData ? counters_.rx_data : counters_.rx_mgmt);
+  if (frame->retry) ++counters_.rx_retry;
   // Only frames addressed to this BSS (or broadcast probes).
   if (frame->addr1 != config_.bssid && !frame->addr1.is_broadcast()) return;
 
@@ -322,7 +322,7 @@ void AccessPoint::handle_assoc_req(const FrameView& frame) {
 
 void AccessPoint::handle_deauth(const FrameView& frame) {
   const net::MacAddr sta = frame.addr2;
-  sim_.stats().add(stat_deauth_rx_);
+  ++counters_.deauths_received;
   wpa_.erase(sta);
   if (associated_.erase(sta) > 0 || authenticated_.erase(sta) > 0) {
     sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
@@ -575,7 +575,7 @@ void AccessPoint::deauth_station(net::MacAddr sta, ReasonCode reason) {
                         obs::TraceLayer::kDot11, 0,
                         static_cast<std::uint64_t>(reason));
   send_mgmt(MgmtSubtype::kDeauth, sta, body);
-  sim_.stats().add(stat_deauth_tx_);
+  ++counters_.deauths_sent;
   note(sim::Severity::kWarn);
   if (event_handler_) event_handler_("deauth", sta);
 }

@@ -58,6 +58,11 @@ struct ApCounters {
   std::uint64_t wpa_handshakes_completed = 0;
   std::uint64_t wpa_open_failures = 0;
   std::uint64_t wpa_replays_dropped = 0;
+  std::uint64_t rx_mgmt = 0;  ///< management frames heard, any address
+  std::uint64_t rx_data = 0;  ///< data frames heard, any address
+  std::uint64_t rx_retry = 0;  ///< of those, marked as retransmissions
+  std::uint64_t deauths_received = 0;  ///< deauth/disassoc to this BSS
+  std::uint64_t deauths_sent = 0;
 };
 
 class AccessPoint {
@@ -82,6 +87,8 @@ class AccessPoint {
 
   [[nodiscard]] const ApConfig& config() const { return config_; }
   [[nodiscard]] const ApCounters& counters() const { return counters_; }
+  /// The dot11.ap.* tallies, read by the stats registry.
+  void publish(obs::Tallies& out) const;
   [[nodiscard]] phy::Radio& radio() { return radio_; }
 
   [[nodiscard]] bool is_associated(net::MacAddr sta) const;
@@ -167,13 +174,6 @@ class AccessPoint {
   EventHandler event_handler_;
   ApCounters counters_;
 
-  // Shared per-simulation stats (all APs aggregate into the same slots).
-  obs::CounterId stat_rx_mgmt_;
-  obs::CounterId stat_rx_data_;
-  obs::CounterId stat_rx_retry_;
-  obs::CounterId stat_deauth_rx_;
-  obs::CounterId stat_deauth_tx_;
-  obs::CounterId stat_beacons_;
   obs::Profiler::ScopeId rx_scope_;
   obs::TraceNameId trace_auth_;
   obs::TraceNameId trace_assoc_;
@@ -183,6 +183,7 @@ class AccessPoint {
   obs::TraceNameId trace_wpa_span_;
   obs::TraceNameId trace_wpa_m2_;
   obs::TraceNameId trace_wpa_m3_;
+  obs::Publication publication_{sim_.stats(), *this};
 };
 
 }  // namespace rogue::dot11

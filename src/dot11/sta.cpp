@@ -24,13 +24,6 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
   radio_.set_receive_handler(
       [this](util::ByteView raw, const phy::RxInfo& info) { on_receive(raw, info); });
 
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_rx_mgmt_ = stats.counter("dot11.sta.rx_mgmt");
-  stat_rx_data_ = stats.counter("dot11.sta.rx_data");
-  stat_rx_retry_ = stats.counter("dot11.sta.rx_retry");
-  stat_deauth_rx_ = stats.counter("dot11.sta.deauth_rx");
-  stat_scans_ = stats.counter("dot11.sta.scans");
-  stat_assocs_ = stats.counter("dot11.sta.associations");
   rx_scope_ = sim_.profiler().intern("dot11.sta.rx");
   obs::Tracer& tracer = sim_.tracer();
   trace_scan_ = tracer.name("dot11.scan-start");
@@ -39,6 +32,15 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
   trace_deauth_rx_ = tracer.name("dot11.deauth-rx");
   trace_wpa_m1_ = tracer.name("dot11.wpa.m1");
   trace_wpa_up_ = tracer.name("dot11.wpa-up");
+}
+
+void Station::publish(obs::Tallies& out) const {
+  out.counter("dot11.sta.rx_mgmt", counters_.rx_mgmt);
+  out.counter("dot11.sta.rx_data", counters_.rx_data);
+  out.counter("dot11.sta.rx_retry", counters_.rx_retry);
+  out.counter("dot11.sta.deauth_rx", counters_.deauths_received);
+  out.counter("dot11.sta.scans", counters_.scans);
+  out.counter("dot11.sta.associations", counters_.associations);
 }
 
 void Station::start() {
@@ -97,7 +99,6 @@ void Station::begin_scan() {
   if (!running_) return;
   state_ = StationState::kScanning;
   ++counters_.scans;
-  sim_.stats().add(stat_scans_);
   scan_results_.clear();
   scan_channel_index_ = 0;
   sim_.tracer().instant(trace_scan_, radio_.trace_actor(),
@@ -227,7 +228,6 @@ void Station::become_associated() {
   gtk_rx_pn_max_ = 0;
   wpa_tx_pn_ = 1;
   ++counters_.associations;
-  sim_.stats().add(stat_assocs_);
   last_beacon_time_ = sim_.now();
   arm_beacon_watchdog();
   if (wpa_like()) arm_wpa_watchdog();
@@ -284,9 +284,8 @@ void Station::on_receive(util::ByteView raw, const phy::RxInfo& info) {
   const obs::Profiler::Scope scope(sim_.profiler(), rx_scope_);
   const auto frame = FrameView::parse(raw);
   if (!frame) return;
-  obs::StatsRegistry& stats = sim_.stats();
-  stats.add(frame->type == FrameType::kData ? stat_rx_data_ : stat_rx_mgmt_);
-  if (frame->retry) stats.add(stat_rx_retry_);
+  ++(frame->type == FrameType::kData ? counters_.rx_data : counters_.rx_mgmt);
+  if (frame->retry) ++counters_.rx_retry;
 
   if (frame->is_mgmt(MgmtSubtype::kBeacon) || frame->is_mgmt(MgmtSubtype::kProbeResp)) {
     handle_beacon(*frame, info);
@@ -381,7 +380,6 @@ void Station::handle_deauth(const FrameView& frame) {
   if (state_ == StationState::kIdle || state_ == StationState::kScanning) return;
   if (frame.addr2 != current_bss_.bssid) return;
   ++counters_.deauths_received;
-  sim_.stats().add(stat_deauth_rx_);
   sim_.tracer().instant(trace_deauth_rx_, radio_.trace_actor(),
                         obs::TraceLayer::kDot11);
   if (event_handler_) event_handler_("deauth", current_bss_);

@@ -86,6 +86,9 @@ struct StationCounters {
   std::uint64_t wep_icv_failures = 0;
   std::uint64_t wpa_open_failures = 0;
   std::uint64_t wpa_replays_dropped = 0;
+  std::uint64_t rx_mgmt = 0;  ///< management frames heard, any address
+  std::uint64_t rx_data = 0;  ///< data frames heard, any address
+  std::uint64_t rx_retry = 0;  ///< of those, marked as retransmissions
 };
 
 class Station {
@@ -109,6 +112,8 @@ class Station {
 
   [[nodiscard]] const StationConfig& config() const { return config_; }
   [[nodiscard]] const StationCounters& counters() const { return counters_; }
+  /// The dot11.sta.* tallies, read by the stats registry.
+  void publish(obs::Tallies& out) const;
   [[nodiscard]] StationState state() const { return state_; }
   [[nodiscard]] bool associated() const { return state_ == StationState::kAssociated; }
   /// Data path live: associated, and (under WPA) handshake complete.
@@ -210,13 +215,6 @@ class Station {
   EventHandler event_handler_;
   StationCounters counters_;
 
-  // Shared per-simulation stats (all stations aggregate into one slot set).
-  obs::CounterId stat_rx_mgmt_;
-  obs::CounterId stat_rx_data_;
-  obs::CounterId stat_rx_retry_;
-  obs::CounterId stat_deauth_rx_;
-  obs::CounterId stat_scans_;
-  obs::CounterId stat_assocs_;
   obs::Profiler::ScopeId rx_scope_;
   obs::TraceNameId trace_scan_;
   obs::TraceNameId trace_associated_;
@@ -224,6 +222,7 @@ class Station {
   obs::TraceNameId trace_deauth_rx_;
   obs::TraceNameId trace_wpa_m1_;
   obs::TraceNameId trace_wpa_up_;
+  obs::Publication publication_{sim_.stats(), *this};
 };
 
 }  // namespace rogue::dot11

@@ -50,14 +50,16 @@ std::optional<ArpPacket> ArpPacket::parse(util::ByteView raw) {
 
 ArpCache::ArpCache(sim::Simulator& simulator, MacAddr own_mac, TxFn tx)
     : sim_(simulator), own_mac_(own_mac), tx_(std::move(tx)) {
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_requests_ = stats.counter("net.arp.requests");
-  stat_replies_ = stats.counter("net.arp.replies");
-  stat_failures_ = stats.counter("net.arp.failures");
   obs::Tracer& tracer = sim_.tracer();
   trace_actor_ = tracer.actor("arp:" + own_mac_.to_string());
   trace_request_ = tracer.name("net.arp.request");
   trace_reply_ = tracer.name("net.arp.reply");
+}
+
+void ArpCache::publish(obs::Tallies& out) const {
+  out.counter("net.arp.requests", requests_sent_);
+  out.counter("net.arp.replies", replies_sent_);
+  out.counter("net.arp.failures", failures_);
 }
 
 std::optional<MacAddr> ArpCache::lookup(Ipv4Addr ip) const {
@@ -104,7 +106,6 @@ void ArpCache::send_request(Ipv4Addr ip) {
   req.target_mac = MacAddr{};
   req.target_ip = ip;
   ++requests_sent_;
-  sim_.stats().add(stat_requests_);
   sim_.tracer().instant(trace_request_, trace_actor_, obs::TraceLayer::kNet, 0,
                         ip.value());
   tx_(req);
@@ -115,7 +116,6 @@ void ArpCache::on_timeout(Ipv4Addr ip) {
   if (it == pending_.end()) return;
   if (it->second.attempts >= kMaxAttempts) {
     ++failures_;
-    sim_.stats().add(stat_failures_);
     pending_.erase(it);
     return;
   }
@@ -150,7 +150,6 @@ void ArpCache::on_packet(const ArpPacket& packet) {
   reply.target_mac = packet.sender_mac;
   reply.target_ip = packet.sender_ip;
   ++replies_sent_;
-  sim_.stats().add(stat_replies_);
   sim_.tracer().instant(trace_reply_, trace_actor_, obs::TraceLayer::kNet, 0,
                         packet.target_ip.value());
   tx_(reply);

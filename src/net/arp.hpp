@@ -69,6 +69,8 @@ class ArpCache {
   [[nodiscard]] std::uint64_t requests_sent() const { return requests_sent_; }
   [[nodiscard]] std::uint64_t replies_sent() const { return replies_sent_; }
   [[nodiscard]] std::uint64_t failures() const { return failures_; }
+  /// The net.arp.* request/reply/failure tallies, read by the stats registry.
+  void publish(obs::Tallies& out) const;
 
   /// Observer invoked for every ARP packet fed in (detection hooks).
   using ObserverFn = std::function<void(const ArpPacket&)>;
@@ -101,12 +103,10 @@ class ArpCache {
   std::uint64_t requests_sent_ = 0;
   std::uint64_t replies_sent_ = 0;
   std::uint64_t failures_ = 0;
-  obs::CounterId stat_requests_;
-  obs::CounterId stat_replies_;
-  obs::CounterId stat_failures_;
   obs::TraceActorId trace_actor_;
   obs::TraceNameId trace_request_;
   obs::TraceNameId trace_reply_;
+  obs::Publication publication_{sim_.stats(), *this};
 
   static constexpr unsigned kMaxAttempts = 3;
   static constexpr sim::Time kRetryDelay = 100'000;  // 100 ms

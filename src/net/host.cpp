@@ -15,16 +15,17 @@ Host::Host(sim::Simulator& simulator, std::string name, TcpConfig tcp_config)
            tcp_config),
       udp_([this](Ipv4Addr dst, std::uint8_t proto, util::ByteView payload) {
         return send_ip(dst, proto, payload);
-      }) {
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_ip_sent_ = stats.counter("net.ip.sent");
-  stat_ip_received_ = stats.counter("net.ip.received");
-  stat_ip_delivered_ = stats.counter("net.ip.delivered");
-  stat_ip_forwarded_ = stats.counter("net.ip.forwarded");
-  stat_ip_drop_no_route_ = stats.counter("net.ip.drop_no_route");
-  stat_ip_drop_ttl_ = stats.counter("net.ip.drop_ttl");
-  stat_ip_drop_filter_ = stats.counter("net.ip.drop_filter");
-  stat_arp_unresolved_ = stats.counter("net.arp.unresolved");
+      }) {}
+
+void Host::publish(obs::Tallies& out) const {
+  out.counter("net.ip.sent", counters_.ip_sent);
+  out.counter("net.ip.received", counters_.ip_received);
+  out.counter("net.ip.delivered", counters_.ip_delivered);
+  out.counter("net.ip.forwarded", counters_.ip_forwarded);
+  out.counter("net.ip.drop_no_route", counters_.ip_dropped_no_route);
+  out.counter("net.ip.drop_ttl", counters_.ip_dropped_ttl);
+  out.counter("net.ip.drop_filter", counters_.ip_dropped_filter);
+  out.counter("net.arp.unresolved", counters_.arp_unresolved);
 }
 
 NetIf& Host::attach(std::unique_ptr<NetIf> iface) {
@@ -121,13 +122,11 @@ bool Host::send_packet(Ipv4Packet packet) {
   const auto route = routes_.lookup(packet.dst);
   if (!route) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return false;
   }
   NetIf* out_iface = interface(route->ifname);
   if (out_iface == nullptr) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return false;
   }
   if (packet.src.is_any()) packet.src = out_iface->ip();
@@ -137,31 +136,26 @@ bool Host::send_packet(Ipv4Packet packet) {
   if (is_local_ip(packet.dst) && !packet.dst.is_broadcast()) {
     sim_.after(1, [this, p = std::move(packet)]() mutable { deliver_local(p); });
     ++counters_.ip_sent;
-    sim_.stats().add(stat_ip_sent_);
     return true;
   }
 
   if (netfilter_.run(Hook::kOutput, packet, "", route->ifname, out_iface->ip()) ==
       Verdict::kDrop) {
     ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
     return false;
   }
   if (netfilter_.run(Hook::kPostrouting, packet, "", route->ifname,
                      out_iface->ip()) == Verdict::kDrop) {
     ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
     return false;
   }
   // NAT may have changed the destination: re-route.
   const auto final_route = routes_.lookup(packet.dst);
   if (!final_route) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return false;
   }
   ++counters_.ip_sent;
-  sim_.stats().add(stat_ip_sent_);
   if (tap_) tap_("tx", packet, final_route->ifname);
   transmit(std::move(packet), *final_route);
   return true;
@@ -189,7 +183,6 @@ void Host::transmit(Ipv4Packet packet, const Route& route) {
         sim_.buffer_pool().release(std::move(raw));
         if (!sent) {
           ++counters_.arp_unresolved;
-          sim_.stats().add(stat_arp_unresolved_);
         }
       });
 }
@@ -214,7 +207,6 @@ void Host::on_frame(NetIf& iface, const L2Frame& frame) {
   if (!tap_ && netfilter_.quiescent(Hook::kPrerouting) &&
       netfilter_.quiescent(Hook::kInput) && is_local_ip(view->dst)) {
     ++counters_.ip_received;
-    sim_.stats().add(stat_ip_received_);
     deliver_local_view(*view);
     return;
   }
@@ -223,13 +215,11 @@ void Host::on_frame(NetIf& iface, const L2Frame& frame) {
 
 void Host::on_ip_packet(NetIf& iface, Ipv4Packet packet) {
   ++counters_.ip_received;
-  sim_.stats().add(stat_ip_received_);
   if (tap_) tap_("rx", packet, iface.name());
 
   if (netfilter_.run(Hook::kPrerouting, packet, iface.name(), "", iface.ip()) ==
       Verdict::kDrop) {
     ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
     return;
   }
 
@@ -237,7 +227,6 @@ void Host::on_ip_packet(NetIf& iface, Ipv4Packet packet) {
     if (netfilter_.run(Hook::kInput, packet, iface.name(), "", iface.ip()) ==
         Verdict::kDrop) {
       ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
       return;
     }
     deliver_local(packet);
@@ -261,7 +250,6 @@ void Host::deliver_local_view(const Ipv4View& packet) {
 void Host::deliver_to_stack(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
                             util::ByteView payload) {
   ++counters_.ip_delivered;
-  sim_.stats().add(stat_ip_delivered_);
   switch (protocol) {
     case kProtoTcp:
       tcp_.on_packet(src, dst, payload);
@@ -284,7 +272,6 @@ void Host::deliver_to_stack(Ipv4Addr src, Ipv4Addr dst, std::uint8_t protocol,
 void Host::forward(NetIf& in_iface, Ipv4Packet packet) {
   if (packet.ttl <= 1) {
     ++counters_.ip_dropped_ttl;
-    sim_.stats().add(stat_ip_drop_ttl_);
     return;
   }
   packet.ttl -= 1;
@@ -292,26 +279,22 @@ void Host::forward(NetIf& in_iface, Ipv4Packet packet) {
   const auto route = routes_.lookup(packet.dst);
   if (!route) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return;
   }
   NetIf* out_iface = interface(route->ifname);
   if (out_iface == nullptr) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return;
   }
 
   if (netfilter_.run(Hook::kForward, packet, in_iface.name(), route->ifname,
                      out_iface->ip()) == Verdict::kDrop) {
     ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
     return;
   }
   if (netfilter_.run(Hook::kPostrouting, packet, in_iface.name(), route->ifname,
                      out_iface->ip()) == Verdict::kDrop) {
     ++counters_.ip_dropped_filter;
-    sim_.stats().add(stat_ip_drop_filter_);
     return;
   }
   // DNAT in PREROUTING may have redirected to one of our own addresses.
@@ -322,11 +305,9 @@ void Host::forward(NetIf& in_iface, Ipv4Packet packet) {
   const auto final_route = routes_.lookup(packet.dst);
   if (!final_route) {
     ++counters_.ip_dropped_no_route;
-    sim_.stats().add(stat_ip_drop_no_route_);
     return;
   }
   ++counters_.ip_forwarded;
-  sim_.stats().add(stat_ip_forwarded_);
   if (tap_) tap_("fwd", packet, final_route->ifname);
   transmit(std::move(packet), *final_route);
 }

@@ -72,6 +72,9 @@ class Host {
   [[nodiscard]] TcpStack& tcp() { return tcp_; }
   [[nodiscard]] UdpStack& udp() { return udp_; }
   [[nodiscard]] const HostCounters& counters() const { return counters_; }
+  /// The net.ip.* and net.arp.unresolved tallies, read by the stats
+  /// registry (the ARP caches and the TCP stack publish their own).
+  void publish(obs::Tallies& out) const;
 
   [[nodiscard]] bool is_local_ip(Ipv4Addr ip) const;
   /// First configured interface address (convenience for single-homed hosts).
@@ -119,20 +122,12 @@ class Host {
   std::unordered_map<std::uint8_t, ProtocolHandler> protocol_handlers_;
   PacketTap tap_;
   HostCounters counters_;
-  // Shared per-simulation stats (all hosts aggregate into one slot set).
-  obs::CounterId stat_ip_sent_;
-  obs::CounterId stat_ip_received_;
-  obs::CounterId stat_ip_delivered_;
-  obs::CounterId stat_ip_forwarded_;
-  obs::CounterId stat_ip_drop_no_route_;
-  obs::CounterId stat_ip_drop_ttl_;
-  obs::CounterId stat_ip_drop_filter_;
-  obs::CounterId stat_arp_unresolved_;
   std::uint16_t next_ip_id_ = 1;
   std::uint16_t next_ping_id_ = 1;
   std::unordered_map<std::uint16_t,
                      std::pair<sim::Time, std::function<void(std::optional<sim::Time>)>>>
       pending_pings_;
+  obs::Publication publication_{sim_.stats(), *this};
 };
 
 }  // namespace rogue::net

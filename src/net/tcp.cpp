@@ -79,7 +79,8 @@ TcpConnection::TcpConnection(TcpStack& stack, Ipv4Addr local_ip,
       local_port_(local_port),
       remote_ip_(remote_ip),
       remote_port_(remote_port),
-      rto_(stack.config().rto_initial) {}
+      rto_(stack.config().rto_initial),
+      publication_(stack.sim_.stats(), *this) {}
 
 TcpConnection::~TcpConnection() {
   stack_.simulator().cancel(rtx_timer_);
@@ -157,7 +158,6 @@ void TcpConnection::send_segment(std::uint8_t flags, std::uint32_t seq,
   s.payload = std::move(payload);
   last_ack_sent_ = rcv_nxt_;
   ++stats_.segments_sent;
-  stack_.sim_.stats().add(stack_.stat_segments_sent_);
   stack_.transmit(local_ip_, remote_ip_, s);
 }
 
@@ -225,7 +225,6 @@ void TcpConnection::cancel_rtx_timer() { stack_.simulator().cancel(rtx_timer_); 
 void TcpConnection::on_rtx_timeout() {
   if (finished_) return;
   ++stats_.rto_events;
-  stack_.sim_.stats().add(stack_.stat_rto_events_);
   ++consecutive_rtx_;
 
   const bool connecting =
@@ -245,7 +244,6 @@ void TcpConnection::on_rtx_timeout() {
   rto_ = std::min<sim::Time>(rto_ * 2, stack_.config().rto_max);
 
   ++stats_.retransmits;
-  stack_.sim_.stats().add(stack_.stat_retransmits_);
   if (state_ == TcpState::kSynSent) {
     send_segment(kTcpSyn, iss_, {});
   } else if (state_ == TcpState::kSynReceived) {
@@ -264,7 +262,6 @@ void TcpConnection::on_rtx_timeout() {
 void TcpConnection::on_segment(const TcpSegmentView& seg) {
   if (finished_) return;
   ++stats_.segments_received;
-  stack_.sim_.stats().add(stack_.stat_segments_received_);
   peer_window_ = seg.window;
 
   if (seg.has(kTcpRst)) {
@@ -397,13 +394,10 @@ void TcpConnection::process_ack(const TcpSegmentView& seg) {
   if (ack == snd_una_ && !inflight_.empty() && seg.payload.empty() &&
       !seg.has(kTcpSyn) && !seg.has(kTcpFin)) {
     ++stats_.dup_acks;
-    stack_.sim_.stats().add(stack_.stat_dup_acks_);
     if (++dup_ack_count_ == 3) {
       // Fast retransmit.
       ++stats_.fast_retransmits;
       ++stats_.retransmits;
-      stack_.sim_.stats().add(stack_.stat_fast_retransmits_);
-      stack_.sim_.stats().add(stack_.stat_retransmits_);
       const auto mss = static_cast<double>(stack_.config().mss);
       ssthresh_ = std::max(static_cast<double>(inflight_.size()) / 2.0, 2.0 * mss);
       cwnd_ = ssthresh_;
@@ -493,7 +487,7 @@ void TcpConnection::process_payload(const TcpSegmentView& seg) {
   // Future segment: buffer and send a duplicate ACK.
   if (!data.empty() && out_of_order_.size() < 256) {
     out_of_order_.emplace(seq, util::Bytes(data.begin(), data.end()));
-    stack_.sim_.stats().add(stack_.stat_reassembly_buffered_);
+    ++stats_.reassembly_buffered;
   }
   send_ack();
 }
@@ -546,18 +540,30 @@ void TcpConnection::finish(bool notify) {
   stack_.remove(this);
 }
 
+namespace {
+void publish_stats(obs::Tallies& out, const TcpStats& s) {
+  out.counter("net.tcp.segments_sent", s.segments_sent);
+  out.counter("net.tcp.segments_received", s.segments_received);
+  out.counter("net.tcp.retransmits", s.retransmits);
+  out.counter("net.tcp.rto_events", s.rto_events);
+  out.counter("net.tcp.fast_retransmits", s.fast_retransmits);
+  out.counter("net.tcp.dup_acks", s.dup_acks);
+  out.counter("net.tcp.reassembly_buffered", s.reassembly_buffered);
+}
+}  // namespace
+
+void TcpConnection::publish(obs::Tallies& out) const {
+  publish_stats(out, stats_);
+}
+
 // ---- TcpStack ---------------------------------------------------------------
+
+void TcpStack::publish(obs::Tallies& out) const {
+  publish_stats(out, TcpStats{});
+}
 
 TcpStack::TcpStack(sim::Simulator& simulator, SendIpFn send_ip, TcpConfig config)
     : sim_(simulator), send_ip_(std::move(send_ip)), config_(config) {
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_segments_sent_ = stats.counter("net.tcp.segments_sent");
-  stat_segments_received_ = stats.counter("net.tcp.segments_received");
-  stat_retransmits_ = stats.counter("net.tcp.retransmits");
-  stat_rto_events_ = stats.counter("net.tcp.rto_events");
-  stat_fast_retransmits_ = stats.counter("net.tcp.fast_retransmits");
-  stat_dup_acks_ = stats.counter("net.tcp.dup_acks");
-  stat_reassembly_buffered_ = stats.counter("net.tcp.reassembly_buffered");
   obs::Tracer& tracer = sim_.tracer();
   trace_actor_tcp_ = tracer.actor("tcp");
   trace_syn_sent_ = tracer.name("net.tcp.syn-sent");

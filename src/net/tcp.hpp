@@ -109,6 +109,7 @@ struct TcpStats {
   std::uint64_t rto_events = 0;
   std::uint64_t fast_retransmits = 0;
   std::uint64_t dup_acks = 0;
+  std::uint64_t reassembly_buffered = 0;  ///< out-of-order segments held
 };
 
 class TcpStack;
@@ -130,6 +131,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   [[nodiscard]] Ipv4Addr remote_ip() const { return remote_ip_; }
   [[nodiscard]] std::uint16_t remote_port() const { return remote_port_; }
   [[nodiscard]] const TcpStats& stats() const { return stats_; }
+  /// This connection's net.tcp.* tallies, read by the stats registry; a
+  /// closed connection's counts stay in the totals.
+  void publish(obs::Tallies& out) const;
   [[nodiscard]] std::size_t unsent_bytes() const { return send_buf_.size(); }
   [[nodiscard]] std::size_t bytes_in_flight() const;
 
@@ -214,6 +218,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   TcpStats stats_;
   bool finished_ = false;
   bool close_notified_ = false;
+  obs::Publication publication_;
 };
 
 using TcpConnectionPtr = std::shared_ptr<TcpConnection>;
@@ -246,6 +251,9 @@ class TcpStack {
   void on_packet(Ipv4Addr src, Ipv4Addr dst, util::ByteView payload);
 
   [[nodiscard]] std::size_t active_connections() const { return connections_.size(); }
+  /// Lists the net.tcp.* names from the stack's construction on; the
+  /// counts are the connections' own.
+  void publish(obs::Tallies& out) const;
 
  private:
   friend class TcpConnection;
@@ -279,14 +287,6 @@ class TcpStack {
   std::unordered_map<FlowKey, TcpConnectionPtr, FlowKeyHash> connections_;
   std::unordered_map<std::uint16_t, AcceptHandler> listeners_;
   std::uint16_t next_ephemeral_ = 40000;
-  // Per-simulation stats, shared across connections (registry aggregates).
-  obs::CounterId stat_segments_sent_;
-  obs::CounterId stat_segments_received_;
-  obs::CounterId stat_retransmits_;
-  obs::CounterId stat_rto_events_;
-  obs::CounterId stat_fast_retransmits_;
-  obs::CounterId stat_dup_acks_;
-  obs::CounterId stat_reassembly_buffered_;
   // Tracer lifecycle records; connections reach these through the stack
   // (arg packs local<<16|remote port to tell connections apart).
   obs::TraceActorId trace_actor_tcp_;
@@ -294,6 +294,7 @@ class TcpStack {
   obs::TraceNameId trace_established_;
   obs::TraceNameId trace_time_wait_;
   obs::TraceNameId trace_closed_;
+  obs::Publication publication_{sim_.stats(), *this};
 };
 
 }  // namespace rogue::net

@@ -15,36 +15,48 @@ std::string_view to_string(MetricKind kind) {
   return "?";
 }
 
-std::uint32_t StatsRegistry::intern(std::string_view name, MetricKind kind,
-                                    std::uint32_t width) {
-  std::string key(name);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    const Metric& m = metrics_[it->second];
-    ROGUE_ASSERT_MSG(m.kind == kind, "metric re-interned with another kind");
-    return it->second;
+void Tallies::counter(std::string_view name, std::uint64_t total) {
+  StatsRegistry::Metric& m =
+      *registry_.metric(name, MetricKind::kCounter, /*create=*/true);
+  (retiring_ ? m.retired : m.live) += total;
+}
+
+void Tallies::gauge(std::string_view name, std::uint64_t level) {
+  if (retiring_) return;  // a destroyed component holds no level
+  StatsRegistry::Metric* m =
+      registry_.metric(name, MetricKind::kGauge, /*create=*/level != 0);
+  if (m != nullptr) m->live += level;
+}
+
+namespace {
+// Scrap for default-constructed HistogramIds: one bucket, count and sum.
+constexpr std::size_t kScrapSlots = 3;
+}  // namespace
+
+StatsRegistry::StatsRegistry() {
+  // Up-front capacity for a typical simulation, so the first snapshot's
+  // names and the world's registrations don't reallocate repeatedly.
+  metrics_.reserve(64);
+  publishers_.reserve(64);
+  values_.resize(kScrapSlots, 0);
+}
+
+StatsRegistry::Metric* StatsRegistry::metric(std::string_view name,
+                                             MetricKind kind,
+                                             bool create) const {
+  const auto it = std::lower_bound(
+      metrics_.begin(), metrics_.end(), name,
+      [](const Metric& m, std::string_view n) { return m.name < n; });
+  if (it != metrics_.end() && it->name == name) {
+    ROGUE_ASSERT_MSG(it->kind == kind, "metric published with another kind");
+    return &*it;
   }
+  if (!create) return nullptr;
   ROGUE_ASSERT_MSG(!name.empty(), "metric needs a name");
-  const std::uint32_t slot = static_cast<std::uint32_t>(values_.size());
-  values_.resize(values_.size() + width, 0);
   Metric m;
-  m.name = key;
+  m.name = std::string(name);
   m.kind = kind;
-  m.slot = slot;
-  metrics_.push_back(std::move(m));
-  const std::uint32_t idx = static_cast<std::uint32_t>(metrics_.size() - 1);
-  index_.emplace(std::move(key), idx);
-  return idx;
-}
-
-CounterId StatsRegistry::counter(std::string_view name) {
-  const std::uint32_t idx = intern(name, MetricKind::kCounter, 1);
-  return CounterId{metrics_[idx].slot};
-}
-
-GaugeId StatsRegistry::gauge(std::string_view name) {
-  const std::uint32_t idx = intern(name, MetricKind::kGauge, 2);
-  return GaugeId{metrics_[idx].slot};
+  return &*metrics_.insert(it, std::move(m));
 }
 
 HistogramId StatsRegistry::histogram(std::string_view name,
@@ -54,56 +66,61 @@ HistogramId StatsRegistry::histogram(std::string_view name,
                        std::adjacent_find(bounds.begin(), bounds.end()) ==
                            bounds.end(),
                    "histogram bounds must be strictly increasing");
-  const auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    const Metric& m = metrics_[it->second];
-    ROGUE_ASSERT_MSG(m.kind == MetricKind::kHistogram &&
-                         m.bound_count == bounds.size(),
+  const std::size_t known = metrics_.size();
+  Metric& m = *metric(name, MetricKind::kHistogram, /*create=*/true);
+  if (metrics_.size() == known) {
+    ROGUE_ASSERT_MSG(m.bound_count == bounds.size(),
                      "histogram re-interned with different bounds");
     return HistogramId{m.slot, m.bound_count + 1, m.bound_offset};
   }
   // buckets + count + sum slots; bounds packed into the shared pool.
   const std::uint32_t buckets = static_cast<std::uint32_t>(bounds.size()) + 1;
-  const std::uint32_t offset = static_cast<std::uint32_t>(bucket_bounds_.size());
+  m.slot = static_cast<std::uint32_t>(values_.size());
+  m.bound_count = buckets - 1;
+  m.bound_offset = static_cast<std::uint32_t>(bucket_bounds_.size());
+  values_.resize(values_.size() + buckets + 2, 0);
   bucket_bounds_.insert(bucket_bounds_.end(), bounds.begin(), bounds.end());
-  const std::uint32_t idx = intern(name, MetricKind::kHistogram, buckets + 2);
-  metrics_[idx].bound_count = static_cast<std::uint32_t>(bounds.size());
-  metrics_[idx].bound_offset = offset;
-  return HistogramId{metrics_[idx].slot, buckets, offset};
+  return HistogramId{m.slot, buckets, m.bound_offset};
 }
 
-void StatsRegistry::reset() {
-  std::fill(values_.begin(), values_.end(), 0);
+std::uint32_t StatsRegistry::add_publisher(const void* owner, PublishFn fn) {
+  if (free_publishers_.empty()) {
+    publishers_.push_back(Publisher{owner, fn});
+    return static_cast<std::uint32_t>(publishers_.size() - 1);
+  }
+  const std::uint32_t slot = free_publishers_.back();
+  free_publishers_.pop_back();
+  publishers_[slot] = Publisher{owner, fn};
+  return slot;
 }
 
-std::uint64_t StatsRegistry::on_snapshot(std::function<void()> hook) {
-  const std::uint64_t token = next_hook_token_++;
-  flush_hooks_.emplace_back(token, std::move(hook));
-  return token;
-}
-
-void StatsRegistry::remove_snapshot_hook(std::uint64_t token) {
-  std::erase_if(flush_hooks_,
-                [token](const auto& entry) { return entry.first == token; });
+void StatsRegistry::retire(std::uint32_t slot) {
+  Publisher& p = publishers_[slot];
+  Tallies out(*this, /*retiring=*/true);
+  p.publish(p.owner, out);
+  p = Publisher{};
+  free_publishers_.push_back(slot);
 }
 
 StatsSnapshot StatsRegistry::snapshot() const {
-  // Flush hooks mutate the registry through their own captured reference;
-  // running them first means the values read below are current.
-  for (const auto& [token, hook] : flush_hooks_) hook();
+  Tallies out(*this, /*retiring=*/false);
+  for (const Publisher& p : publishers_) {
+    if (p.owner != nullptr) p.publish(p.owner, out);
+  }
   StatsSnapshot snap;
   snap.entries.reserve(metrics_.size());
-  for (const Metric& m : metrics_) {
-    StatsSnapshot::Entry e;
+  for (Metric& m : metrics_) {
+    StatsSnapshot::Entry& e = snap.entries.emplace_back();
     e.name = m.name;
     e.kind = m.kind;
     switch (m.kind) {
       case MetricKind::kCounter:
-        e.value = values_[m.slot];
+        e.value = m.retired + m.live;
         break;
       case MetricKind::kGauge:
-        e.value = values_[m.slot];
-        e.high_water = values_[m.slot + 1];
+        m.high_water = std::max(m.high_water, m.live);
+        e.value = m.live;
+        e.high_water = m.high_water;
         break;
       case MetricKind::kHistogram: {
         const std::uint32_t buckets = m.bound_count + 1;
@@ -117,9 +134,8 @@ StatsSnapshot StatsRegistry::snapshot() const {
         break;
       }
     }
-    snap.entries.push_back(std::move(e));
+    m.live = 0;
   }
-  snap.sort();
   return snap;
 }
 

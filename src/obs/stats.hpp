@@ -1,21 +1,17 @@
-// Per-simulation metrics registry: named counters, gauges (with high-water
-// marks) and fixed-bucket histograms, built for the event hot path. A
-// component interns its metric names once (like obs::Tracer names) and
-// the returned handle indexes a flat uint64 array — an increment is one load
-// plus one add, no hashing, no locks. One registry per Simulator keeps
-// replicas thread-isolated and the counts a pure function of (seed,
-// config), so stats can join the byte-identical sweep report.
-//
-// Default-constructed handles point at a reserved scrap slot, so an
-// un-wired component increments harmlessly instead of faulting.
+// Per-simulation metrics registry. Each component keeps the only tally of
+// what it counts, in its own plain members, and registers one publish()
+// member through a Publication; every snapshot reads the live components'
+// tallies through it, and a component's last counts are folded into the
+// run's totals when it is destroyed. Tallies with the same name are summed
+// over all instances. The one per-event registry write is a histogram
+// observe(). One registry per Simulator keeps replicas thread-isolated and
+// the counts a pure function of (seed, config), so stats can join the
+// byte-identical sweep report.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "util/json.hpp"
@@ -26,14 +22,8 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 [[nodiscard]] std::string_view to_string(MetricKind kind);
 
-/// Handles are plain slot indices into the registry's value array. Slot 0
-/// is the scrap slot every default-constructed handle targets.
-struct CounterId {
-  std::uint32_t slot = 0;
-};
-struct GaugeId {
-  std::uint32_t slot = 0;  ///< [slot] = current, [slot+1] = high water
-};
+/// Slot handle of a histogram. A default-constructed handle targets a
+/// reserved scrap range, so an un-interned histogram observes harmlessly.
 struct HistogramId {
   std::uint32_t slot = 0;     ///< buckets..., then count, then sum
   std::uint32_t buckets = 1;  ///< bounds.size() + 1 (last bucket = +inf)
@@ -66,6 +56,29 @@ struct StatsSnapshot {
   /// Re-sort after appending entries by hand.
   void sort();
 
+  /// Calls `row(name, value)` for each flat report row, in entry order: a
+  /// counter gives <name>, a gauge <name> and <name>.high_water, and a
+  /// histogram <name>.count and <name>.sum. The one flattening rule of
+  /// every report that lists stats as plain numbers.
+  template <typename Fn>
+  void for_each_row(Fn&& row) const {
+    for (const Entry& e : entries) {
+      switch (e.kind) {
+        case MetricKind::kCounter:
+          row(e.name, e.value);
+          break;
+        case MetricKind::kGauge:
+          row(e.name, e.value);
+          row(e.name + ".high_water", e.high_water);
+          break;
+        case MetricKind::kHistogram:
+          row(e.name + ".count", e.hist.count);
+          row(e.name + ".sum", e.hist.sum);
+          break;
+      }
+    }
+  }
+
   /// Object keyed by metric name: counters are bare numbers, gauges are
   /// {value, high_water}, histograms are {count, sum, bounds, buckets}.
   /// Deterministic: sorted names, integer values only.
@@ -74,38 +87,49 @@ struct StatsSnapshot {
   [[nodiscard]] static StatsSnapshot from_json(const util::Json& j);
 };
 
+class StatsRegistry;
+
+/// What a component's publish() reports its tallies to. A name may come
+/// from any number of components; the registry sums their values.
+class Tallies {
+ public:
+  /// A running count, listed from the component's registration on (even
+  /// at 0) and kept in the totals after the component is destroyed.
+  void counter(std::string_view name, std::uint64_t total);
+  /// A running count listed only from the first snapshot that reads it as
+  /// non-zero: for tallies most runs never raise, which would otherwise
+  /// add a name to every run's snapshot.
+  void lazy_counter(std::string_view name, std::uint64_t total) {
+    if (total != 0) counter(name, total);
+  }
+  /// A level sampled at each snapshot. Listed from the first snapshot that
+  /// reads it as non-zero, with its high-water mark: the maximum over the
+  /// snapshot instants. A destroyed component's level drops out.
+  void gauge(std::string_view name, std::uint64_t level);
+
+ private:
+  friend class StatsRegistry;
+  Tallies(const StatsRegistry& registry, bool retiring)
+      : registry_(registry), retiring_(retiring) {}
+
+  const StatsRegistry& registry_;
+  bool retiring_;  ///< folding a destroyed component's final counts
+};
+
 class StatsRegistry {
  public:
-  StatsRegistry() {
-    // Up-front capacity for a typical simulation's metric set, so a burst
-    // of ctor-time interns doesn't reallocate the value array repeatedly.
-    values_.reserve(128);
-    metrics_.reserve(48);
-    values_.resize(kScrapSlots, 0);  // slot 0..2: scrap for inert handles
-  }
+  StatsRegistry();
 
   StatsRegistry(const StatsRegistry&) = delete;
   StatsRegistry& operator=(const StatsRegistry&) = delete;
 
-  /// Intern a metric, returning a stable handle. Idempotent per name; the
-  /// kind (and histogram bounds) must match on re-intern.
-  [[nodiscard]] CounterId counter(std::string_view name);
-  [[nodiscard]] GaugeId gauge(std::string_view name);
-  /// `bounds` are inclusive upper bucket bounds, strictly increasing; a
-  /// final +inf bucket is implicit.
+  /// Intern a histogram, returning a stable handle. `bounds` are inclusive
+  /// upper bucket bounds, strictly increasing; a final +inf bucket is
+  /// implicit. Idempotent per name; the bounds must match on re-intern.
   [[nodiscard]] HistogramId histogram(std::string_view name,
                                       std::vector<std::uint64_t> bounds);
 
   // ---- hot path ------------------------------------------------------------
-  void add(CounterId id, std::uint64_t n = 1) { values_[id.slot] += n; }
-  /// Overwrite a counter with an externally-kept running total. For
-  /// components whose hot path tallies plain members and flushes from an
-  /// on_snapshot() hook; idempotent across repeated snapshots.
-  void set_total(CounterId id, std::uint64_t total) { values_[id.slot] = total; }
-  void set(GaugeId id, std::uint64_t v) {
-    values_[id.slot] = v;
-    if (v > values_[id.slot + 1]) values_[id.slot + 1] = v;
-  }
   void observe(HistogramId id, std::uint64_t sample) {
     const std::uint32_t last = id.buckets - 1;
     const std::uint64_t* bounds = bucket_bounds_.data() + id.bound_offset;
@@ -116,46 +140,68 @@ class StatsRegistry {
     values_[id.slot + id.buckets + 1] += sample;  // sum
   }
 
-  [[nodiscard]] std::uint64_t value(CounterId id) const { return values_[id.slot]; }
-  [[nodiscard]] std::uint64_t value(GaugeId id) const { return values_[id.slot]; }
-  [[nodiscard]] std::uint64_t high_water(GaugeId id) const {
-    return values_[id.slot + 1];
-  }
-
-  [[nodiscard]] std::size_t metric_count() const { return metrics_.size(); }
-
-  /// Zero every value (names and handles survive) — between episodes.
-  void reset();
-
-  /// Register a flush hook run at the start of every snapshot(). Lets a
-  /// hot-path component keep plain member tallies (no registry traffic per
-  /// event) and publish them just in time via set_total(). Returns a token
-  /// for remove_snapshot_hook() — deregister before the component dies.
-  std::uint64_t on_snapshot(std::function<void()> hook);
-  void remove_snapshot_hook(std::uint64_t token);
-
+  /// Every live component's tallies plus the destroyed ones' totals, sorted
+  /// by name. Reading advances the gauges' high-water marks and lists the
+  /// names that first turned non-zero, so a snapshot is part of a run's
+  /// history: the same run sampled at other instants may hold other marks.
   [[nodiscard]] StatsSnapshot snapshot() const;
 
  private:
-  static constexpr std::size_t kScrapSlots = 3;  // widest scrap: gauge pair
+  friend class Tallies;
+  friend class Publication;
 
+  using PublishFn = void (*)(const void* owner, Tallies& out);
+  struct Publisher {
+    const void* owner = nullptr;  ///< nullptr: a free slot
+    PublishFn publish = nullptr;
+  };
   struct Metric {
     std::string name;
-    MetricKind kind;
-    std::uint32_t slot;
+    MetricKind kind = MetricKind::kCounter;
+    std::uint64_t retired = 0;     ///< counters: destroyed components' sum
+    std::uint64_t live = 0;        ///< the snapshot being read
+    std::uint64_t high_water = 0;  ///< gauges: max over snapshot instants
+    std::uint32_t slot = 0;        ///< histograms: into values_
     std::uint32_t bound_count = 0;   ///< histograms: number of finite bounds
     std::uint32_t bound_offset = 0;  ///< into bucket_bounds_
   };
 
-  [[nodiscard]] std::uint32_t intern(std::string_view name, MetricKind kind,
-                                     std::uint32_t width);
+  [[nodiscard]] std::uint32_t add_publisher(const void* owner, PublishFn fn);
+  void retire(std::uint32_t slot);
+  /// The metric named `name`, inserted in name order when new; nullptr
+  /// when absent and `create` is false.
+  Metric* metric(std::string_view name, MetricKind kind, bool create) const;
 
-  std::vector<Metric> metrics_;
-  std::unordered_map<std::string, std::uint32_t> index_;  ///< name -> metrics_
-  std::vector<std::uint64_t> values_;
+  // The name table is logically part of every snapshot's reading: a
+  // snapshot lists names that turned non-zero and moves high-water marks.
+  mutable std::vector<Metric> metrics_;  ///< sorted by name
+  std::vector<Publisher> publishers_;
+  std::vector<std::uint32_t> free_publishers_;
+  std::vector<std::uint64_t> values_;  ///< histogram buckets, count, sum
   std::vector<std::uint64_t> bucket_bounds_;  ///< all histograms' bounds, packed
-  std::vector<std::pair<std::uint64_t, std::function<void()>>> flush_hooks_;
-  std::uint64_t next_hook_token_ = 1;
+};
+
+/// A component's registration with its simulator's registry: while it
+/// lives, every snapshot calls `owner.publish(Tallies&)`, and its
+/// destructor calls it once more to fold the final counts into the run's
+/// totals. Declare it after every member publish() reads, so it is
+/// destroyed first.
+class Publication {
+ public:
+  template <typename T>
+  Publication(StatsRegistry& registry, const T& owner)
+      : registry_(registry),
+        slot_(registry.add_publisher(&owner, [](const void* o, Tallies& out) {
+          static_cast<const T*>(o)->publish(out);
+        })) {}
+  ~Publication() { registry_.retire(slot_); }
+
+  Publication(const Publication&) = delete;
+  Publication& operator=(const Publication&) = delete;
+
+ private:
+  StatsRegistry& registry_;
+  std::uint32_t slot_;
 };
 
 }  // namespace rogue::obs

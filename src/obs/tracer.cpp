@@ -1,6 +1,7 @@
 #include "obs/tracer.hpp"
 
 #include <cstdio>
+#include <ostream>
 
 #include "util/prng.hpp"
 
@@ -163,8 +164,20 @@ std::vector<TraceEvent> causal_chain(const TracerDump& dump,
   return chain;
 }
 
-void append_chrome_trace(util::Json& events, const TracerDump& dump,
-                         std::uint64_t pid, std::string_view process_name) {
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& out) : out_(out) {
+  out_ << "{\"traceEvents\":[";
+}
+
+void ChromeTraceWriter::event(const util::Json& e) {
+  if (!first_) out_ << ',';
+  first_ = false;
+  out_ << e.dump();
+}
+
+void ChromeTraceWriter::finish() { out_ << "],\"displayTimeUnit\":\"ms\"}"; }
+
+void ChromeTraceWriter::process(const TracerDump& dump, std::uint64_t pid,
+                                std::string_view process_name) {
   util::Json meta = util::Json::object();
   meta.set("name", util::Json("process_name"));
   meta.set("ph", util::Json("M"));
@@ -172,7 +185,7 @@ void append_chrome_trace(util::Json& events, const TracerDump& dump,
   util::Json args = util::Json::object();
   args.set("name", util::Json(std::string(process_name)));
   meta.set("args", std::move(args));
-  events.push_back(std::move(meta));
+  event(meta);
 
   // Thread (track) metadata for every actor that actually appears, in
   // interning order so the output is a pure function of the dump.
@@ -188,7 +201,7 @@ void append_chrome_trace(util::Json& events, const TracerDump& dump,
     util::Json targs = util::Json::object();
     targs.set("name", util::Json(dump.actors[tid]));
     t.set("args", std::move(targs));
-    events.push_back(std::move(t));
+    event(t);
   }
 
   for (const TraceEvent& e : dump.events) {
@@ -204,7 +217,7 @@ void append_chrome_trace(util::Json& events, const TracerDump& dump,
     rargs.set("trace", util::Json(hex_id(e.trace_id)));
     rargs.set("v", util::Json(e.arg));
     row.set("args", std::move(rargs));
-    events.push_back(std::move(row));
+    event(row);
   }
 }
 

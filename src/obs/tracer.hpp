@@ -4,7 +4,7 @@
 // span/instant records into a bounded ring buffer that overwrites oldest
 // ("flight recorder"). Recording is branch-cheap when disabled and heap-
 // free when enabled: names and actors are interned once at construction
-// (interning works while disabled, like StatsRegistry handles), and a
+// (interning works while disabled), and a
 // record is a fixed-size POD store into a preallocated ring.
 //
 // Determinism: trace ids derive from (root seed, per-simulation frame
@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -235,12 +236,31 @@ struct Span {
 [[nodiscard]] std::vector<TraceEvent> causal_chain(const TracerDump& dump,
                                                    std::uint64_t trace_id);
 
-/// Append one replica's records to a Chrome trace-event array (`events`
-/// must be a JSON array): process/thread metadata first, then "B"/"E"/"i"
-/// rows with sim-time µs timestamps, pid = replica, tid = actor.
-/// Deterministic: pure function of the dump.
-void append_chrome_trace(util::Json& events, const TracerDump& dump,
-                         std::uint64_t pid, std::string_view process_name);
+/// Streams one Chrome trace-event document to `out`,
+/// {"traceEvents":[...],"displayTimeUnit":"ms"} in compact JSON. Each event
+/// is written as soon as it is made, so a trace never exists as one JSON
+/// tree in memory.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& out);
+
+  ChromeTraceWriter(const ChromeTraceWriter&) = delete;
+  ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
+
+  /// One event object.
+  void event(const util::Json& e);
+  /// One replica's records as one process: process/thread metadata first,
+  /// then "B"/"E"/"i" rows with sim-time µs timestamps, pid = replica,
+  /// tid = actor. Deterministic: pure function of the dump.
+  void process(const TracerDump& dump, std::uint64_t pid,
+               std::string_view process_name);
+  /// Close the document; call once, after the last event.
+  void finish();
+
+ private:
+  std::ostream& out_;
+  bool first_ = true;
+};
 
 /// Flight-recorder tail as JSON rows ({t_us, layer, actor, name, phase,
 /// trace, arg}) — what a failed replica embeds in the failures array.

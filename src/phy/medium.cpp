@@ -125,17 +125,8 @@ void Radio::attempt_transmit() {
 Medium::Medium(sim::Simulator& simulator, MediumConfig config)
     : sim_(simulator), config_(config) {
   cell_size_m_ = audible_range(grid_power_ceiling_, grid_sens_floor_);
-  obs::StatsRegistry& stats = sim_.stats();
-  stat_tx_ = stats.counter("phy.tx_frames");
-  stat_collisions_ = stats.counter("phy.collisions");
-  stat_delivered_ = stats.counter("phy.delivered");
-  stat_drop_margin_ = stats.counter("phy.drop_below_sensitivity");
-  stat_drop_loss_ = stats.counter("phy.drop_random_loss");
-  stat_rssi_hits_ = stats.counter("phy.rssi_cache_hits");
-  stat_rssi_misses_ = stats.counter("phy.rssi_cache_misses");
-  stat_deferrals_ = stats.counter("phy.csma_deferrals");
-  stat_frame_bytes_ = stats.histogram("phy.frame_bytes",
-                                      {64, 128, 256, 512, 1024, 1536});
+  stat_frame_bytes_ = sim_.stats().histogram("phy.frame_bytes",
+                                             {64, 128, 256, 512, 1024, 1536});
   deliver_scope_ = sim_.profiler().intern("phy.deliver");
   plan_scope_ = sim_.profiler().intern("phy.plan_rebuild");
   obs::Tracer& tracer = sim_.tracer();
@@ -145,35 +136,26 @@ Medium::Medium(sim::Simulator& simulator, MediumConfig config)
   trace_drop_margin_ = tracer.name("phy.drop-margin");
   trace_drop_loss_ = tracer.name("phy.drop-loss");
   trace_drop_corrupt_ = tracer.name("phy.drop-collision");
-  flush_token_ = stats.on_snapshot([this] { flush_stats(); });
 }
 
-Medium::~Medium() { sim_.stats().remove_snapshot_hook(flush_token_); }
-
-void Medium::flush_stats() {
+void Medium::publish(obs::Tallies& out) const {
   // Derived counts: every non-sender receiver visit performs exactly one
   // RSSI lookup, and a visit that neither dropped nor lacked a handler was
   // a delivery — so the common-path quantities need no per-event counter.
-  const std::uint64_t hits = rssi_lookup_count_ - rssi_miss_count_;
-  const std::uint64_t delivered = rssi_lookup_count_ - drop_margin_count_ -
-                                  drop_loss_count_ - no_handler_count_;
-  obs::StatsRegistry& stats = sim_.stats();
-  stats.set_total(stat_tx_, tx_count_);
-  stats.set_total(stat_collisions_, collision_count_);
-  stats.set_total(stat_delivered_, delivered);
-  stats.set_total(stat_drop_margin_, drop_margin_count_);
-  stats.set_total(stat_drop_loss_, drop_loss_count_);
-  stats.set_total(stat_rssi_hits_, hits);
-  stats.set_total(stat_rssi_misses_, rssi_miss_count_);
-  stats.set_total(stat_deferrals_, deferral_count_);
+  out.counter("phy.tx_frames", tx_count_);
+  out.counter("phy.collisions", collision_count_);
+  out.counter("phy.delivered", rssi_lookup_count_ - drop_margin_count_ -
+                                   drop_loss_count_ - no_handler_count_);
+  out.counter("phy.drop_below_sensitivity", drop_margin_count_);
+  out.counter("phy.drop_random_loss", drop_loss_count_);
+  out.counter("phy.rssi_cache_hits", rssi_lookup_count_ - rssi_miss_count_);
+  out.counter("phy.rssi_cache_misses", rssi_miss_count_);
+  out.counter("phy.csma_deferrals", deferral_count_);
+  // The chaos pair joins together, once either is non-zero, so snapshots
+  // of runs without transport chaos keep their exact names.
   if (chaos_delayed_count_ != 0 || chaos_duplicated_count_ != 0) {
-    if (!chaos_stats_interned_) {
-      chaos_stats_interned_ = true;
-      stat_chaos_delayed_ = stats.counter("phy.chaos_delayed");
-      stat_chaos_duplicated_ = stats.counter("phy.chaos_duplicated");
-    }
-    stats.set_total(stat_chaos_delayed_, chaos_delayed_count_);
-    stats.set_total(stat_chaos_duplicated_, chaos_duplicated_count_);
+    out.counter("phy.chaos_delayed", chaos_delayed_count_);
+    out.counter("phy.chaos_duplicated", chaos_duplicated_count_);
   }
 }
 
@@ -533,7 +515,7 @@ void Medium::deliver_impl(std::uint64_t tx_id, const Radio* sender,
   // and only dereferences a Radio on frames that actually land.
   //
   // Counting stays off the common path: one bulk add per delivery plus
-  // increments on the rare skip branches. flush_stats() derives the hot
+  // increments on the rare skip branches. publish() derives the hot
   // quantities (cache hits, delivered) from these by subtraction.
   const Radio::DeliveryPlan& plan = delivery_plan(*sender, tx.channel);
   rssi_lookup_count_ += plan.entries.size();

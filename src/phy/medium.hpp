@@ -221,7 +221,6 @@ class Radio {
 class Medium {
  public:
   Medium(sim::Simulator& simulator, MediumConfig config = {});
-  ~Medium();
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -245,6 +244,8 @@ class Medium {
   /// one sender's flattened fan-out table after a world change). A static
   /// world settles at one rebuild per active sender.
   [[nodiscard]] std::uint64_t plan_rebuilds() const { return plan_rebuild_count_; }
+  /// The phy.* tallies, read by the stats registry (see obs::Publication).
+  void publish(obs::Tallies& out) const;
 
   // ---- Grid introspection (tests) -----------------------------------------
   /// Cell side in metres. Grows over the run if a radio is tuned louder or
@@ -340,10 +341,6 @@ class Medium {
   /// transmissions on its channel from its 3x3 neighborhood (those inside
   /// the sensing blind window are not yet visible).
   [[nodiscard]] sim::Time channel_busy_for(const Radio& listener) const;
-  /// Publish the plain member tallies below into the stats registry;
-  /// runs from the registry's on_snapshot() hook.
-  void flush_stats();
-
   // ---- Grid internals -----------------------------------------------------
   [[nodiscard]] static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy);
   /// Cell index for (cx, cy), creating the cell on first use.
@@ -409,8 +406,8 @@ class Medium {
   std::uint64_t cache_generation_ = 1;
   sim::Trace* capture_ = nullptr;
 
-  // Hot-path tallies stay plain members (an increment is one add, no
-  // registry indirection); flush_stats() publishes them at snapshot time.
+  // The only tallies of the phy.* stats: each event is one add here, and
+  // publish() derives the common-path counts from them.
   std::uint64_t tx_count_ = 0;
   std::uint64_t collision_count_ = 0;
   std::uint64_t rssi_lookup_count_ = 0;  ///< non-sender receiver visits
@@ -422,21 +419,7 @@ class Medium {
   std::uint64_t chaos_delayed_count_ = 0;    ///< reorder/jitter-held frames
   std::uint64_t chaos_duplicated_count_ = 0; ///< extra copies delivered
 
-  // Interned stats handles (see Simulator::stats()), written by
-  // flush_stats(); the histogram alone is observed per transmit.
-  obs::CounterId stat_tx_;
-  obs::CounterId stat_collisions_;
-  obs::CounterId stat_delivered_;
-  obs::CounterId stat_drop_margin_;
-  obs::CounterId stat_drop_loss_;
-  obs::CounterId stat_rssi_hits_;
-  obs::CounterId stat_rssi_misses_;
-  obs::CounterId stat_deferrals_;
-  // Interned lazily (first nonzero at snapshot) so legacy snapshots keep
-  // their exact metric set.
-  obs::CounterId stat_chaos_delayed_;
-  obs::CounterId stat_chaos_duplicated_;
-  bool chaos_stats_interned_ = false;
+  /// Observed per transmit: the one per-event registry write.
   obs::HistogramId stat_frame_bytes_;
   obs::Profiler::ScopeId deliver_scope_;
   obs::Profiler::ScopeId plan_scope_;
@@ -448,7 +431,7 @@ class Medium {
   obs::TraceNameId trace_drop_margin_;
   obs::TraceNameId trace_drop_loss_;
   obs::TraceNameId trace_drop_corrupt_;
-  std::uint64_t flush_token_ = 0;
+  obs::Publication publication_{sim_.stats(), *this};
 };
 
 }  // namespace rogue::phy

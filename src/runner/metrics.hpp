@@ -35,7 +35,7 @@ struct RunMetrics {
 
   // Tracing sidecars. Neither is serialized by to_json() — the flight
   // recorder and timeseries go to their own files (SweepReport::
-  // chrome_trace_json() / timeseries_jsonl()), so per-replica report
+  // write_chrome_trace() / timeseries_jsonl()), so per-replica report
   // records keep their exact legacy bytes. Both stay empty/null unless
   // the sweep ran with tracing / timeseries enabled.
   std::shared_ptr<obs::TracerDump> trace;

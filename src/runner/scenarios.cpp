@@ -178,7 +178,7 @@ std::vector<Variant> corp_transport(double fault_intensity) {
   return variants;
 }
 
-std::vector<Variant> metro(double /*fault_intensity*/) {
+std::vector<Variant> metro(double /*fault_intensity: not taken*/) {
   // EXP-C5 at neighborhood scale: small enough for CI smokes and the
   // default 100-replica sweep, large enough that roaming crosses many
   // grid cells and several same-channel AP boundaries.
@@ -193,7 +193,7 @@ std::vector<Variant> metro(double /*fault_intensity*/) {
   return variants;
 }
 
-std::vector<Variant> metro_city(double /*fault_intensity*/) {
+std::vector<Variant> metro_city(double /*fault_intensity: not taken*/) {
   // The acceptance-scale world: >= 200 APs, >= 50k STAs. Episode length is
   // trimmed so one replica stays in CPU-minutes territory.
   scenario::MetroConfig city;
@@ -208,29 +208,41 @@ std::vector<Variant> metro_city(double /*fault_intensity*/) {
   return variants;
 }
 
+struct Ladder {
+  std::string_view name;
+  std::vector<Variant> (*variants)(double fault_intensity);
+  bool takes_faults;
+};
+
 /// The stock ladders, in known_scenarios() order.
-constexpr std::pair<std::string_view, std::vector<Variant> (*)(double)>
-    kLadders[] = {{"corp", corp},
-                  {"hotspot", hotspot},
-                  {"corp-chaos", corp_chaos},
-                  {"hotspot-chaos", hotspot_chaos},
-                  {"corp-transport", corp_transport},
-                  {"metro", metro},
-                  {"metro-city", metro_city}};
+constexpr Ladder kLadders[] = {{"corp", corp, true},
+                               {"hotspot", hotspot, true},
+                               {"corp-chaos", corp_chaos, true},
+                               {"hotspot-chaos", hotspot_chaos, true},
+                               {"corp-transport", corp_transport, true},
+                               {"metro", metro, false},
+                               {"metro-city", metro_city, false}};
 
 }  // namespace
 
 std::vector<Variant> stock_variants(std::string_view scenario,
                                     double fault_intensity) {
-  for (const auto& [name, ladder] : kLadders) {
-    if (name == scenario) return ladder(fault_intensity);
+  for (const Ladder& ladder : kLadders) {
+    if (ladder.name == scenario) return ladder.variants(fault_intensity);
   }
   return {};
 }
 
+bool takes_faults(std::string_view scenario) {
+  for (const Ladder& ladder : kLadders) {
+    if (ladder.name == scenario) return ladder.takes_faults;
+  }
+  return false;
+}
+
 std::vector<std::string_view> known_scenarios() {
   std::vector<std::string_view> names;
-  for (const auto& ladder : kLadders) names.push_back(ladder.first);
+  for (const Ladder& ladder : kLadders) names.push_back(ladder.name);
   return names;
 }
 

@@ -32,11 +32,16 @@ namespace rogue::runner {
 ///                   5%/10% loss and transport chaos paths
 ///   metro           EXP-C5: a street grid of APs and waypoint-roaming STAs
 ///                   on the spatial-grid medium, baseline vs evil twins
-///                   (ignores `fault_intensity`, as does metro-city)
+///                   (takes no faults, nor does metro-city)
 ///   metro-city      the same at acceptance scale (210 APs, 50k STAs); one
 ///                   replica is minutes of CPU, so run 1..2 replicas
 [[nodiscard]] std::vector<Variant> stock_variants(std::string_view scenario,
                                                   double fault_intensity = 0.0);
+
+/// Whether stock ladder `scenario` applies a fault intensity: false for
+/// the metro ladders (and for unknown names), so a caller can reject one
+/// instead of running without it.
+[[nodiscard]] bool takes_faults(std::string_view scenario);
 
 /// Names accepted by stock_variants().
 [[nodiscard]] std::vector<std::string_view> known_scenarios();

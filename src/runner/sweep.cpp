@@ -42,22 +42,9 @@ VariantSummary summarize(const Variant& variant, const RunMetrics* runs,
       continue;  // default-constructed metrics would poison the aggregates
     }
     const scenario::Metrics& m = runs[i].metrics;
-    for (const obs::StatsSnapshot::Entry& e : m.stats.entries) {
-      switch (e.kind) {
-        case obs::MetricKind::kCounter:
-          stats_agg[e.name].add(static_cast<double>(e.value));
-          break;
-        case obs::MetricKind::kGauge:
-          stats_agg[e.name].add(static_cast<double>(e.value));
-          stats_agg[e.name + ".high_water"].add(
-              static_cast<double>(e.high_water));
-          break;
-        case obs::MetricKind::kHistogram:
-          stats_agg[e.name + ".count"].add(static_cast<double>(e.hist.count));
-          stats_agg[e.name + ".sum"].add(static_cast<double>(e.hist.sum));
-          break;
-      }
-    }
+    m.stats.for_each_row([&](const std::string& name, std::uint64_t v) {
+      stats_agg[name].add(static_cast<double>(v));
+    });
     if (m.victim_captured) {
       ++captured;
       s.time_to_capture_s.add(m.time_to_capture_s);
@@ -304,23 +291,12 @@ util::Json SweepReport::failures_json() const {
   return failures;
 }
 
-util::Json SweepReport::chrome_trace_events() const {
-  util::Json events = util::Json::array();
+void SweepReport::write_chrome_trace(obs::ChromeTraceWriter& out) const {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunMetrics& run = runs[i];
     if (run.trace == nullptr || run.trace->empty()) continue;
-    obs::append_chrome_trace(
-        events, *run.trace, i,
-        run.variant + " seed=" + std::to_string(run.seed));
+    out.process(*run.trace, i, run.variant + " seed=" + std::to_string(run.seed));
   }
-  return events;
-}
-
-util::Json SweepReport::chrome_trace_json() const {
-  util::Json j = util::Json::object();
-  j.set("traceEvents", chrome_trace_events());
-  j.set("displayTimeUnit", "ms");
-  return j;
 }
 
 std::string SweepReport::timeseries_jsonl() const {
@@ -328,21 +304,9 @@ std::string SweepReport::timeseries_jsonl() const {
   for (const RunMetrics& run : runs) {
     for (const RunMetrics::TimeSample& sample : run.timeseries) {
       util::Json stats = util::Json::object();
-      for (const obs::StatsSnapshot::Entry& e : sample.stats.entries) {
-        switch (e.kind) {
-          case obs::MetricKind::kCounter:
-            stats.set(e.name, e.value);
-            break;
-          case obs::MetricKind::kGauge:
-            stats.set(e.name, e.value);
-            stats.set(e.name + ".high_water", e.high_water);
-            break;
-          case obs::MetricKind::kHistogram:
-            stats.set(e.name + ".count", e.hist.count);
-            stats.set(e.name + ".sum", e.hist.sum);
-            break;
-        }
-      }
+      sample.stats.for_each_row([&](const std::string& name, std::uint64_t v) {
+        stats.set(name, v);
+      });
       util::Json line = util::Json::object();
       line.set("variant", run.variant);
       line.set("seed", run.seed);

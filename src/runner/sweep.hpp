@@ -115,13 +115,12 @@ struct SweepReport {
   /// Just the per-variant layer-counter aggregates (the --stats-out file).
   /// Deterministic under the same contract as to_json().
   [[nodiscard]] util::Json stats_json() const;
-  /// Chrome trace-event JSON (load in Perfetto / chrome://tracing): one
-  /// process per replica, one track per actor, sim-time as microseconds.
-  /// Deterministic under the same contract as to_json().
-  [[nodiscard]] util::Json chrome_trace_json() const;
-  /// The bare traceEvents array behind chrome_trace_json() — for callers
-  /// that append extra (e.g. host-time profiler) tracks before wrapping.
-  [[nodiscard]] util::Json chrome_trace_events() const;
+  /// Every traced replica's records as Chrome trace events (load in
+  /// Perfetto / chrome://tracing): one process per replica, one track per
+  /// actor, sim-time as microseconds. Callers may add tracks of their own
+  /// (the host-time profile) before finish(). Deterministic under the same
+  /// contract as to_json().
+  void write_chrome_trace(obs::ChromeTraceWriter& out) const;
   /// Timeseries samples as JSON Lines, one StatsRegistry snapshot per
   /// (replica, sample point) — the --timeseries-out file. Deterministic.
   [[nodiscard]] std::string timeseries_jsonl() const;

@@ -55,7 +55,7 @@ struct PairSummary {
 };
 
 /// The sweep a tournament ran, plus its per-pair aggregates. The inherited
-/// stats_json(), chrome_trace_events() and timeseries_jsonl() serve
+/// stats_json(), write_chrome_trace() and timeseries_jsonl() serve
 /// tournaments unchanged; to_json() and table() are the tournament's own
 /// and hide the sweep's (not virtual: call them on a TournamentReport).
 struct TournamentReport : SweepReport {

@@ -79,9 +79,9 @@ class Simulator {
   void configure_buffer_pool(const util::BufferPoolConfig& config) {
     pool_.configure(config);
   }
-  /// Per-simulation metrics registry. Components intern handles once and
-  /// bump plain uint64 slots on the hot path; values are deterministic
-  /// (a pure function of seed and config, like every other observable).
+  /// Per-simulation metrics registry. Components register a Publication
+  /// and keep their own tallies; values are deterministic (a pure function
+  /// of seed and config, like every other observable).
   [[nodiscard]] obs::StatsRegistry& stats() { return stats_; }
   /// Host wall-time profiler, disabled by default. Enabling it never
   /// changes simulation behaviour — only how long the host takes.
@@ -147,12 +147,14 @@ class Simulator {
   std::uint64_t fired_ = 0;
   std::size_t live_ = 0;   ///< scheduled events (periodic series count once)
   std::size_t stale_ = 0;  ///< cancelled entries still sitting in the heap
+  // Before the event slots: a pending callback may own a component, whose
+  // Publication must retire into a live registry.
+  obs::StatsRegistry stats_;
   EventHeap heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   util::Prng rng_;
   util::BufferPool pool_;
-  obs::StatsRegistry stats_;
   obs::Profiler profiler_;
   obs::Tracer tracer_;
   std::uint64_t cancels_ = 0;

@@ -11,27 +11,15 @@ ClientTunnel::ClientTunnel(net::Host& host, ClientConfig config)
       config_(std::move(config)),
       reconnect_rng_(
           host.simulator().derive_rng("vpn.reconnect." + host.name())) {
-  obs::StatsRegistry& stats = host_.simulator().stats();
-  stat_records_out_ = stats.counter("vpn.client.records_out");
-  stat_records_in_ = stats.counter("vpn.client.records_in");
-  stat_records_bad_ = stats.counter("vpn.client.records_bad");
-  stat_keepalives_ = stats.counter("vpn.client.keepalives_sent");
-  stat_keepalive_acks_ = stats.counter("vpn.client.keepalive_acks");
-  stat_dead_peer_ = stats.counter("vpn.client.dead_peer_events");
-  stat_sessions_ = stats.counter("vpn.client.sessions_established");
-  stat_reconnects_ = stats.counter("vpn.client.reconnects");
-  stat_connect_attempts_ = stats.counter("vpn.client.connect_attempts");
   data_scope_ = host_.simulator().profiler().intern("vpn.client.data");
   obs::Tracer& tracer = host_.simulator().tracer();
   trace_actor_ = tracer.actor("vpn:" + host_.name());
   trace_session_ = tracer.name("vpn.session");
   trace_rekey_ = tracer.name("vpn.rekey");
   trace_record_bad_ = tracer.name("vpn.record-bad");
-  snapshot_hook_ = stats.on_snapshot([this] { flush_lazy_stats(); });
 }
 
 ClientTunnel::~ClientTunnel() {
-  host_.simulator().stats().remove_snapshot_hook(snapshot_hook_);
   host_.simulator().cancel(timeout_timer_);
   host_.simulator().cancel(retransmit_timer_);
   host_.simulator().cancel(keepalive_timer_);
@@ -39,21 +27,24 @@ ClientTunnel::~ClientTunnel() {
   host_.simulator().cancel(rekey_timer_);
 }
 
-void ClientTunnel::flush_lazy_stats() {
-  obs::StatsRegistry& stats = host_.simulator().stats();
-  const auto flush = [&stats](LazyStat& ls, std::uint64_t current) {
-    if (current == ls.flushed) return;
-    if (!ls.interned) {
-      ls.id = stats.counter(ls.name);
-      ls.interned = true;
-    }
-    stats.add(ls.id, current - ls.flushed);
-    ls.flushed = current;
-  };
-  flush(lazy_replayed_, counters_.records_replayed);
-  flush(lazy_auth_fail_, counters_.records_auth_fail);
-  flush(lazy_stale_epoch_, counters_.records_stale_epoch);
-  flush(lazy_rekeys_, counters_.rekeys);
+void ClientTunnel::publish(obs::Tallies& out) const {
+  out.counter("vpn.client.records_out", counters_.records_out);
+  out.counter("vpn.client.records_in", counters_.records_in);
+  out.counter("vpn.client.records_bad", counters_.records_bad);
+  out.counter("vpn.client.keepalives_sent", counters_.keepalives_sent);
+  out.counter("vpn.client.keepalive_acks", counters_.keepalive_acks);
+  out.counter("vpn.client.dead_peer_events", counters_.dead_peer_events);
+  out.counter("vpn.client.sessions_established",
+              counters_.sessions_established);
+  out.counter("vpn.client.reconnects", reconnects());
+  out.counter("vpn.client.connect_attempts", counters_.connect_attempts);
+  // The resilience tallies join only once non-zero, so snapshots of runs
+  // that never replay, forge or rekey keep their exact names.
+  out.lazy_counter("vpn.client.records_replayed", counters_.records_replayed);
+  out.lazy_counter("vpn.client.records_auth_fail", counters_.records_auth_fail);
+  out.lazy_counter("vpn.client.records_stale_epoch",
+                   counters_.records_stale_epoch);
+  out.lazy_counter("vpn.client.rekeys", counters_.rekeys);
 }
 
 void ClientTunnel::start(EstablishedHandler done) {
@@ -65,7 +56,6 @@ void ClientTunnel::start(EstablishedHandler done) {
 
 void ClientTunnel::begin_attempt() {
   ++counters_.connect_attempts;
-  host_.simulator().stats().add(stat_connect_attempts_);
   failed_ = false;
   established_ = false;
   server_authenticated_ = false;
@@ -130,7 +120,6 @@ void ClientTunnel::begin_attempt() {
     tcp_->set_on_close([this] {
       if (established_) {
         ++counters_.dead_peer_events;
-        host_.simulator().stats().add(stat_dead_peer_);
         session_lost();
       } else {
         attempt_failed();
@@ -330,13 +319,9 @@ void ClientTunnel::handle_assign(const Message& msg) {
                              msg.payload[3]);
   established_ = true;
   ++counters_.sessions_established;
-  host_.simulator().stats().add(stat_sessions_);
   host_.simulator().tracer().begin(trace_session_, trace_actor_,
                                    obs::TraceLayer::kVpn, 0,
                                    counters_.sessions_established);
-  if (counters_.sessions_established > 1) {
-    host_.simulator().stats().add(stat_reconnects_);
-  }
   host_.simulator().cancel(timeout_timer_);
   host_.simulator().cancel(retransmit_timer_);
   bring_up_tun();
@@ -359,7 +344,6 @@ void ClientTunnel::bring_up_tun() {
       seal_record_into(keys_.client_to_server, next_tx_seq(), pkt, record);
       counters_.bytes_sealed += pkt.size();
       ++counters_.records_out;
-      host_.simulator().stats().add(stat_records_out_);
       send_payload(MsgType::kData, record);
       pool.release(std::move(record));
       maybe_rekey();
@@ -394,7 +378,6 @@ void ClientTunnel::on_keepalive_tick() {
   const sim::Time now = host_.simulator().now();
   if (now - last_peer_activity_ >= config_.dead_peer_timeout) {
     ++counters_.dead_peer_events;
-    host_.simulator().stats().add(stat_dead_peer_);
     session_lost();
     return;
   }
@@ -403,7 +386,6 @@ void ClientTunnel::on_keepalive_tick() {
   util::Bytes record = pool.acquire(8 + kProbeBody.size() + crypto::kAeadTagLen);
   seal_record_into(keys_.client_to_server, next_tx_seq(), kProbeBody, record);
   ++counters_.keepalives_sent;
-  host_.simulator().stats().add(stat_keepalives_);
   send_payload(MsgType::kKeepalive, record);
   pool.release(std::move(record));
   maybe_rekey();
@@ -455,7 +437,6 @@ ClientTunnel::OpenStatus ClientTunnel::open_incoming(util::ByteView record,
 
 void ClientTunnel::record_bad(OpenStatus status) {
   ++counters_.records_bad;
-  host_.simulator().stats().add(stat_records_bad_);
   host_.simulator().tracer().instant(trace_record_bad_, trace_actor_,
                                      obs::TraceLayer::kVpn, 0,
                                      static_cast<std::uint64_t>(status));
@@ -546,7 +527,6 @@ void ClientTunnel::handle_keepalive_ack(const Message& msg) {
     return;
   }
   ++counters_.keepalive_acks;
-  host_.simulator().stats().add(stat_keepalive_acks_);
   last_peer_activity_ = host_.simulator().now();
 }
 
@@ -554,7 +534,6 @@ void ClientTunnel::handle_data(const Message& msg) {
   if (!established_) return;
   const obs::Profiler::Scope scope(host_.simulator().profiler(), data_scope_);
   ++counters_.records_in;
-  host_.simulator().stats().add(stat_records_in_);
   std::uint64_t seq = 0;
   util::BufferPool& pool = host_.simulator().buffer_pool();
   util::Bytes inner = pool.acquire(msg.payload.size());

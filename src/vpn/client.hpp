@@ -116,6 +116,8 @@ class ClientTunnel {
   [[nodiscard]] bool server_authenticated() const { return server_authenticated_; }
   [[nodiscard]] net::Ipv4Addr tunnel_ip() const { return tunnel_ip_; }
   [[nodiscard]] const ClientCounters& counters() const { return counters_; }
+  /// The vpn.client.* tallies, read by the stats registry.
+  void publish(obs::Tallies& out) const;
   /// Sessions re-established after a loss (0 for an unbroken tunnel).
   [[nodiscard]] std::uint64_t reconnects() const {
     return counters_.sessions_established > 0
@@ -165,7 +167,6 @@ class ClientTunnel {
   void start_rekey();
   void commit_rekey();
   void abandon_rekey();
-  void flush_lazy_stats();
 
   net::Host& host_;
   ClientConfig config_;
@@ -212,35 +213,12 @@ class ClientTunnel {
   sim::TimerHandle reconnect_timer_;
   sim::TimerHandle rekey_timer_;
   ClientCounters counters_;
-  // Per-simulation stats, aggregated across all client tunnels.
-  obs::CounterId stat_records_out_;
-  obs::CounterId stat_records_in_;
-  obs::CounterId stat_records_bad_;
-  obs::CounterId stat_keepalives_;
-  obs::CounterId stat_keepalive_acks_;
-  obs::CounterId stat_dead_peer_;
-  obs::CounterId stat_sessions_;
-  obs::CounterId stat_reconnects_;
-  obs::CounterId stat_connect_attempts_;
   obs::TraceActorId trace_actor_;
   obs::TraceNameId trace_session_;
   obs::TraceNameId trace_rekey_;
   obs::TraceNameId trace_record_bad_;
   obs::Profiler::ScopeId data_scope_;
-  // Resilience tallies are interned lazily (first nonzero value at
-  // snapshot time) so stats snapshots of legacy scenarios keep their
-  // exact metric set; deltas are added so multiple clients aggregate.
-  struct LazyStat {
-    const char* name;
-    obs::CounterId id{};
-    std::uint64_t flushed = 0;
-    bool interned = false;
-  };
-  LazyStat lazy_replayed_{"vpn.client.records_replayed"};
-  LazyStat lazy_auth_fail_{"vpn.client.records_auth_fail"};
-  LazyStat lazy_stale_epoch_{"vpn.client.records_stale_epoch"};
-  LazyStat lazy_rekeys_{"vpn.client.rekeys"};
-  std::uint64_t snapshot_hook_ = 0;
+  obs::Publication publication_{host_.simulator().stats(), *this};
 };
 
 }  // namespace rogue::vpn

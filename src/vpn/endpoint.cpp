@@ -11,49 +11,32 @@ constexpr sim::Time kReapPeriod = 1 * sim::kSecond;
 
 Endpoint::Endpoint(net::Host& host, EndpointConfig config)
     : host_(host), config_(std::move(config)) {
-  obs::StatsRegistry& stats = host_.simulator().stats();
-  stat_sessions_ = stats.counter("vpn.endpoint.sessions_established");
-  stat_auth_failures_ = stats.counter("vpn.endpoint.auth_failures");
-  stat_records_in_ = stats.counter("vpn.endpoint.records_in");
-  stat_records_out_ = stats.counter("vpn.endpoint.records_out");
-  stat_records_bad_ = stats.counter("vpn.endpoint.records_bad");
-  stat_keepalives_ = stats.counter("vpn.endpoint.keepalives_in");
   data_scope_ = host_.simulator().profiler().intern("vpn.endpoint.data");
-  snapshot_hook_ = stats.on_snapshot([this] { flush_lazy_stats(); });
 }
 
-Endpoint::~Endpoint() {
-  host_.simulator().stats().remove_snapshot_hook(snapshot_hook_);
-  host_.simulator().cancel(reap_timer_);
-}
+Endpoint::~Endpoint() { host_.simulator().cancel(reap_timer_); }
 
-void Endpoint::flush_lazy_stats() {
-  obs::StatsRegistry& stats = host_.simulator().stats();
-  const auto flush = [&stats](LazyStat& ls, std::uint64_t current) {
-    if (current == ls.flushed) return;
-    if (!ls.interned) {
-      ls.id = stats.counter(ls.name);
-      ls.interned = true;
-    }
-    stats.add(ls.id, current - ls.flushed);
-    ls.flushed = current;
-  };
-  flush(lazy_replayed_, counters_.records_replayed);
-  flush(lazy_auth_fail_, counters_.records_auth_fail);
-  flush(lazy_spoofed_, counters_.records_spoofed_src);
-  flush(lazy_stale_epoch_, counters_.records_stale_epoch);
-  flush(lazy_rekeys_, counters_.rekeys);
-  flush(lazy_roams_, counters_.roams);
-  flush(lazy_reaped_, counters_.sessions_reaped);
-  // Active-session gauge (high-water tracked by the registry). Interned on
-  // first UDP session so TCP-only snapshots keep their exact metric set.
-  if (!udp_sessions_.empty() || sessions_gauge_interned_) {
-    if (!sessions_gauge_interned_) {
-      sessions_gauge_ = stats.gauge("vpn.endpoint.sessions_active");
-      sessions_gauge_interned_ = true;
-    }
-    stats.set(sessions_gauge_, udp_sessions_.size());
-  }
+void Endpoint::publish(obs::Tallies& out) const {
+  out.counter("vpn.endpoint.sessions_established",
+              counters_.sessions_established);
+  out.counter("vpn.endpoint.auth_failures", counters_.auth_failures);
+  out.counter("vpn.endpoint.records_in", counters_.records_in);
+  out.counter("vpn.endpoint.records_out", counters_.records_out);
+  out.counter("vpn.endpoint.records_bad", counters_.records_bad);
+  out.counter("vpn.endpoint.keepalives_in", counters_.keepalives_in);
+  // The resilience tallies and the UDP session gauge join only once
+  // non-zero, so snapshots of TCP-only and clean runs keep their names.
+  out.lazy_counter("vpn.endpoint.records_replayed", counters_.records_replayed);
+  out.lazy_counter("vpn.endpoint.records_auth_fail",
+                   counters_.records_auth_fail);
+  out.lazy_counter("vpn.endpoint.records_spoofed_src",
+                   counters_.records_spoofed_src);
+  out.lazy_counter("vpn.endpoint.records_stale_epoch",
+                   counters_.records_stale_epoch);
+  out.lazy_counter("vpn.endpoint.rekeys", counters_.rekeys);
+  out.lazy_counter("vpn.endpoint.roams", counters_.roams);
+  out.lazy_counter("vpn.endpoint.sessions_reaped", counters_.sessions_reaped);
+  out.gauge("vpn.endpoint.sessions_active", udp_sessions_.size());
 }
 
 void Endpoint::start() {
@@ -255,7 +238,6 @@ void Endpoint::try_roam(const UdpKey& key, const Message& msg) {
   if (!roamed) {
     ++counters_.records_spoofed_src;
     ++counters_.records_bad;
-    host_.simulator().stats().add(stat_records_bad_);
     return;
   }
   udp_sessions_.erase(roamed->udp_key);
@@ -388,7 +370,6 @@ void Endpoint::handle_client_auth(const SessionPtr& session, const Message& msg)
       client_auth_tag(config_.psk, hello, server_public);
   if (!util::equal_ct(msg.payload, util::ByteView(expected.data(), expected.size()))) {
     ++counters_.auth_failures;
-    host_.simulator().stats().add(stat_auth_failures_);
     return;
   }
 
@@ -399,7 +380,6 @@ void Endpoint::handle_client_auth(const SessionPtr& session, const Message& msg)
   session->last_activity = host_.simulator().now();
   by_tunnel_ip_[*tunnel_ip] = session;
   ++counters_.sessions_established;
-  host_.simulator().stats().add(stat_sessions_);
 
   session->assign_reply.clear();
   util::ByteWriter w(session->assign_reply);
@@ -441,7 +421,6 @@ Endpoint::OpenStatus Endpoint::open_session_record(Session& s, util::ByteView re
 
 void Endpoint::record_bad(OpenStatus status) {
   ++counters_.records_bad;
-  host_.simulator().stats().add(stat_records_bad_);
   switch (status) {
     case OpenStatus::kReplay: ++counters_.records_replayed; break;
     case OpenStatus::kAuthFail: ++counters_.records_auth_fail; break;
@@ -455,7 +434,6 @@ void Endpoint::handle_data(const SessionPtr& session, const Message& msg) {
   if (!session->established) return;
   const obs::Profiler::Scope scope(host_.simulator().profiler(), data_scope_);
   ++counters_.records_in;
-  host_.simulator().stats().add(stat_records_in_);
 
   std::uint64_t seq = 0;
   util::BufferPool& pool = host_.simulator().buffer_pool();
@@ -493,7 +471,6 @@ void Endpoint::handle_keepalive(const SessionPtr& session, const Message& msg) {
   }
   session->last_activity = host_.simulator().now();
   ++counters_.keepalives_in;
-  host_.simulator().stats().add(stat_keepalives_);
 
   static const util::Bytes kProbeBody = {'k', 'a'};
   util::Bytes record = pool.acquire(8 + kProbeBody.size() + crypto::kAeadTagLen);
@@ -583,7 +560,6 @@ bool Endpoint::tun_transmit(util::ByteView ip_packet) {
                    record);
   counters_.bytes_sealed += ip_packet.size();
   ++counters_.records_out;
-  host_.simulator().stats().add(stat_records_out_);
   session.send(MsgType::kData, record);
   pool.release(std::move(record));
   return true;

@@ -92,6 +92,8 @@ class Endpoint {
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] const EndpointCounters& counters() const { return counters_; }
+  /// The vpn.endpoint.* tallies, read by the stats registry.
+  void publish(obs::Tallies& out) const;
   [[nodiscard]] std::size_t active_sessions() const { return by_tunnel_ip_.size(); }
   /// UDP session-table size including half-open entries (leak visibility).
   [[nodiscard]] std::size_t udp_session_count() const { return udp_sessions_.size(); }
@@ -162,7 +164,6 @@ class Endpoint {
   }
   void schedule_reap();
   void reap_sessions();
-  void flush_lazy_stats();
 
   net::Host& host_;
   EndpointConfig config_;
@@ -178,33 +179,8 @@ class Endpoint {
   sim::TimerHandle reap_timer_;
   bool reap_scheduled_ = false;
   EndpointCounters counters_;
-  // Per-simulation stats, aggregated across all endpoints.
-  obs::CounterId stat_sessions_;
-  obs::CounterId stat_auth_failures_;
-  obs::CounterId stat_records_in_;
-  obs::CounterId stat_records_out_;
-  obs::CounterId stat_records_bad_;
-  obs::CounterId stat_keepalives_;
   obs::Profiler::ScopeId data_scope_;
-  // The resilience tallies are interned lazily (first nonzero value at
-  // snapshot time) so stats snapshots of legacy scenarios keep their
-  // exact metric set; deltas are added so multiple endpoints aggregate.
-  struct LazyStat {
-    const char* name;
-    obs::CounterId id{};
-    std::uint64_t flushed = 0;
-    bool interned = false;
-  };
-  LazyStat lazy_replayed_{"vpn.endpoint.records_replayed"};
-  LazyStat lazy_auth_fail_{"vpn.endpoint.records_auth_fail"};
-  LazyStat lazy_spoofed_{"vpn.endpoint.records_spoofed_src"};
-  LazyStat lazy_stale_epoch_{"vpn.endpoint.records_stale_epoch"};
-  LazyStat lazy_rekeys_{"vpn.endpoint.rekeys"};
-  LazyStat lazy_roams_{"vpn.endpoint.roams"};
-  LazyStat lazy_reaped_{"vpn.endpoint.sessions_reaped"};
-  obs::GaugeId sessions_gauge_{};
-  bool sessions_gauge_interned_ = false;
-  std::uint64_t snapshot_hook_ = 0;
+  obs::Publication publication_{host_.simulator().stats(), *this};
 };
 
 }  // namespace rogue::vpn

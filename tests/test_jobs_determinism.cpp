@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/tracer.hpp"
 #include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
 #include "runner/tournament.hpp"
@@ -72,9 +74,12 @@ Files run_case(const Case& c, std::size_t jobs) {
   cfg.trace = true;
   cfg.timeseries_dt_s = 5.0;
   const auto files = [](const SweepReport& r, const util::Json& report) {
-    return Files{report.dump(2), r.stats_json().dump(2),
-                 r.chrome_trace_json().dump(), r.timeseries_jsonl(),
-                 r.runs.size(), r.failed_count()};
+    std::ostringstream trace;  // streamed, as `sweep --trace-out` writes it
+    obs::ChromeTraceWriter writer(trace);
+    r.write_chrome_trace(writer);
+    writer.finish();
+    return Files{report.dump(2), r.stats_json().dump(2), trace.str(),
+                 r.timeseries_jsonl(), r.runs.size(), r.failed_count()};
   };
   if (c.tournament) {
     cfg.attackers = {"none", "low-slow-deauth", "cloner"};

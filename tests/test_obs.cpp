@@ -1,70 +1,136 @@
-// Observability-layer tests: StatsRegistry semantics (interning, scrap
-// slots, histogram bucketing), snapshot JSON round-trip, profiler scoping,
+// Observability-layer tests: StatsRegistry semantics (tallies summed over
+// instances and kept past their owners, lazy names, sampled gauges,
+// histogram bucketing), snapshot JSON round-trip, profiler scoping,
 // pcap serialize/parse round-trip — including the acceptance-criterion
 // round-trip over a real corp-world radio capture — and stats determinism
 // across sweep worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "obs/pcap.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stats.hpp"
+#include "runner/scenarios.hpp"
 #include "runner/sweep.hpp"
 #include "scenario/corp_world.hpp"
 #include "sim/simulator.hpp"
+#include "util/bytes.hpp"
 
 namespace rogue::obs {
 namespace {
 
-TEST(StatsRegistry, CounterAddAndValue) {
+/// A component with plain tallies, registered the way every simulator
+/// component registers its own.
+struct Component {
+  explicit Component(StatsRegistry& registry) : publication(registry, *this) {}
+  void publish(Tallies& out) const {
+    out.counter("test.events", events);
+    out.lazy_counter("test.rare", rare);
+    out.gauge("test.level", level);
+  }
+  std::uint64_t events = 0;
+  std::uint64_t rare = 0;
+  std::uint64_t level = 0;
+  Publication publication;
+};
+
+TEST(StatsRegistry, SameNameTalliesSumAcrossInstances) {
+  // Every STA publishes dot11.sta.scans: the snapshot holds their sum.
   StatsRegistry reg;
-  CounterId c = reg.counter("net.ip.sent");
-  EXPECT_EQ(reg.value(c), 0u);
-  reg.add(c);
-  reg.add(c, 41);
-  EXPECT_EQ(reg.value(c), 42u);
+  Component a(reg);
+  Component b(reg);
+  a.events = 3;
+  b.events = 4;
+  const StatsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.value("test.events"), 7u);
+  ASSERT_EQ(snap.entries.size(), 1u);  // the zero lazy names stay out
+  EXPECT_EQ(snap.entries[0].kind, MetricKind::kCounter);
 }
 
-TEST(StatsRegistry, InternIsIdempotent) {
-  // Two components interning the same name share one slot — this is what
-  // makes "all STAs" aggregate instead of shadowing each other.
+TEST(StatsRegistry, DestroyedComponentCountsStayInTheTotal) {
+  // A closed TCP connection's segments still count.
   StatsRegistry reg;
-  CounterId a = reg.counter("dot11.sta.scans");
-  CounterId b = reg.counter("dot11.sta.scans");
-  EXPECT_EQ(a.slot, b.slot);
-  reg.add(a);
-  reg.add(b);
-  EXPECT_EQ(reg.value(a), 2u);
-  EXPECT_EQ(reg.metric_count(), 1u);
+  Component kept(reg);
+  kept.events = 2;
+  {
+    Component gone(reg);
+    gone.events = 5;
+    gone.rare = 1;
+    gone.level = 9;
+  }
+  StatsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.value("test.events"), 7u);
+  EXPECT_EQ(snap.value("test.rare"), 1u);
+  EXPECT_EQ(snap.find("test.level"), nullptr) << "a level dies with its owner";
+  kept.events = 3;
+  EXPECT_EQ(reg.snapshot().value("test.events"), 8u);
+  // A name registered and destroyed before any snapshot is still listed.
+  StatsRegistry unread;
+  { Component brief(unread); }
+  snap = unread.snapshot();
+  ASSERT_NE(snap.find("test.events"), nullptr);
+  EXPECT_EQ(snap.value("test.events"), 0u);
 }
 
-TEST(StatsRegistry, DefaultHandleHitsScrapSlotHarmlessly) {
-  // A component constructed without wiring must be able to increment
-  // without faulting and without polluting any named metric.
+TEST(StatsRegistry, LazyNameJoinsAtFirstNonZeroSnapshotAndStays) {
   StatsRegistry reg;
-  CounterId named = reg.counter("phy.tx_frames");
-  CounterId inert;  // default: scrap slot
-  GaugeId inert_gauge;
-  HistogramId inert_hist;
-  reg.add(inert, 1000);
-  reg.set(inert_gauge, 77);
-  reg.observe(inert_hist, 5);
-  EXPECT_EQ(reg.value(named), 0u);
-  EXPECT_TRUE(reg.snapshot().entries.size() == 1);
+  auto c = std::make_unique<Component>(reg);
+  StatsSnapshot snap = reg.snapshot();
+  EXPECT_NE(snap.find("test.events"), nullptr) << "eager names list at 0";
+  EXPECT_EQ(snap.find("test.rare"), nullptr);
+  c->rare = 2;
+  EXPECT_EQ(reg.snapshot().value("test.rare"), 2u);
+  c.reset();  // its only publisher is gone; the name and its count stay
+  snap = reg.snapshot();
+  ASSERT_NE(snap.find("test.rare"), nullptr);
+  EXPECT_EQ(snap.value("test.rare"), 2u);
 }
 
 TEST(StatsRegistry, GaugeTracksHighWater) {
+  // A gauge's level is read at snapshot instants only: its high-water mark
+  // is the largest level a snapshot saw, not the largest level it had.
   StatsRegistry reg;
-  GaugeId g = reg.gauge("sim.heap_size");
-  reg.set(g, 10);
-  reg.set(g, 25);
-  reg.set(g, 7);
-  EXPECT_EQ(reg.value(g), 7u);
-  EXPECT_EQ(reg.high_water(g), 25u);
+  Component c(reg);
+  EXPECT_EQ(reg.snapshot().find("test.level"), nullptr);
+  c.level = 10;
+  StatsSnapshot snap = reg.snapshot();
+  const StatsSnapshot::Entry* e = snap.find("test.level");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->kind, MetricKind::kGauge);
+  EXPECT_EQ(e->value, 10u);
+  EXPECT_EQ(e->high_water, 10u);
+  c.level = 25;  // never sampled
+  c.level = 7;
+  snap = reg.snapshot();
+  EXPECT_EQ(snap.find("test.level")->value, 7u);
+  EXPECT_EQ(snap.find("test.level")->high_water, 10u);
+  c.level = 0;  // listed from its first non-zero snapshot on
+  snap = reg.snapshot();
+  ASSERT_NE(snap.find("test.level"), nullptr);
+  EXPECT_EQ(snap.find("test.level")->value, 0u);
+  EXPECT_EQ(snap.find("test.level")->high_water, 10u);
+}
+
+TEST(StatsRegistry, DefaultHandleHitsScrapSlotHarmlessly) {
+  // An un-interned histogram handle must observe without faulting and
+  // without polluting any named metric.
+  StatsRegistry reg;
+  const HistogramId named = reg.histogram("phy.frame_bytes", {64});
+  HistogramId inert;
+  reg.observe(inert, 5);
+  const StatsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.find("phy.frame_bytes")->hist.count, 0u);
+  reg.observe(named, 5);
+  EXPECT_EQ(reg.snapshot().find("phy.frame_bytes")->hist.count, 1u);
 }
 
 TEST(StatsRegistry, HistogramBucketsOnInclusiveUpperBounds) {
@@ -88,25 +154,21 @@ TEST(StatsRegistry, HistogramBucketsOnInclusiveUpperBounds) {
   EXPECT_EQ(e->hist.sum, 64u + 65 + 256 + 1000 + 4000);
 }
 
-TEST(StatsRegistry, ResetZeroesValuesButKeepsHandles) {
-  StatsRegistry reg;
-  CounterId c = reg.counter("vpn.client.records_out");
-  GaugeId g = reg.gauge("sim.pool.size");
-  reg.add(c, 9);
-  reg.set(g, 5);
-  reg.reset();
-  EXPECT_EQ(reg.value(c), 0u);
-  EXPECT_EQ(reg.value(g), 0u);
-  EXPECT_EQ(reg.high_water(g), 0u);
-  reg.add(c);  // old handle still valid
-  EXPECT_EQ(reg.value(c), 1u);
-  EXPECT_EQ(reg.counter("vpn.client.records_out").slot, c.slot);
-}
+/// Publishes fixed totals under the given names.
+struct Fixed {
+  Fixed(StatsRegistry& registry,
+        std::vector<std::pair<std::string, std::uint64_t>> fixed)
+      : totals(std::move(fixed)), publication(registry, *this) {}
+  void publish(Tallies& out) const {
+    for (const auto& [name, total] : totals) out.counter(name, total);
+  }
+  std::vector<std::pair<std::string, std::uint64_t>> totals;
+  Publication publication;
+};
 
 TEST(StatsSnapshot, SortedLookupAndValue) {
   StatsRegistry reg;
-  reg.add(reg.counter("z.last"), 3);
-  reg.add(reg.counter("a.first"), 1);
+  const Fixed f(reg, {{"z.last", 3}, {"a.first", 1}});
   StatsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.entries.size(), 2u);
   EXPECT_EQ(snap.entries[0].name, "a.first");
@@ -116,12 +178,30 @@ TEST(StatsSnapshot, SortedLookupAndValue) {
   EXPECT_EQ(snap.find("missing"), nullptr);
 }
 
+TEST(StatsSnapshot, FlatRowsFollowOneNamingRule) {
+  StatsRegistry reg;
+  const Fixed f(reg, {{"net.tcp.segments_sent", 123}});
+  Component c(reg);
+  c.level = 4;
+  reg.observe(reg.histogram("phy.frame_bytes", {128}), 100);
+  std::vector<std::pair<std::string, std::uint64_t>> rows;
+  reg.snapshot().for_each_row([&](const std::string& name, std::uint64_t v) {
+    rows.emplace_back(name, v);
+  });
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"net.tcp.segments_sent", 123}, {"phy.frame_bytes.count", 1},
+      {"phy.frame_bytes.sum", 100},   {"test.events", 0},
+      {"test.level", 4},              {"test.level.high_water", 4}};
+  EXPECT_EQ(rows, expected);
+}
+
 TEST(StatsSnapshot, JsonRoundTrip) {
   StatsRegistry reg;
-  reg.add(reg.counter("net.tcp.segments_sent"), 123);
-  GaugeId g = reg.gauge("sim.heap_size");
-  reg.set(g, 40);
-  reg.set(g, 12);
+  const Fixed f(reg, {{"net.tcp.segments_sent", 123}});
+  Component c(reg);
+  c.level = 40;
+  (void)reg.snapshot();
+  c.level = 12;
   HistogramId h = reg.histogram("phy.frame_bytes", {128, 512});
   reg.observe(h, 100);
   reg.observe(h, 600);
@@ -134,7 +214,7 @@ TEST(StatsSnapshot, JsonRoundTrip) {
 
   ASSERT_EQ(back.entries.size(), snap.entries.size());
   EXPECT_EQ(back.value("net.tcp.segments_sent"), 123u);
-  const StatsSnapshot::Entry* gauge = back.find("sim.heap_size");
+  const StatsSnapshot::Entry* gauge = back.find("test.level");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->value, 12u);
   EXPECT_EQ(gauge->high_water, 40u);
@@ -276,6 +356,12 @@ TEST(Stats, CorpWorldPopulatesLayerCounters) {
   const StatsSnapshot::Entry* hist = snap.find("phy.frame_bytes");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->hist.count, snap.value("phy.tx_frames"));
+  // The kernel's own sim.* entries join stats_snapshot() only: timeseries
+  // samples read the registry and leave them out.
+  for (const StatsSnapshot::Entry& e :
+       world.simulator().stats().snapshot().entries) {
+    EXPECT_FALSE(e.name.starts_with("sim.")) << e.name;
+  }
 }
 
 TEST(Stats, SameSeedSameSnapshot) {
@@ -317,6 +403,62 @@ TEST(Stats, SweepStatsJsonIdenticalAcrossThreadCounts) {
       EXPECT_EQ(text, baseline) << "stats diverged at jobs=" << jobs;
     }
   }
+}
+
+/// SHA-256 of the stats file and of the 5 s timeseries of a sweep over
+/// the stock `scenario` variants named in `only`, two replicas each.
+struct StatsDigests {
+  std::string stats, timeseries;
+};
+StatsDigests stats_digests(std::string_view scenario,
+                           const std::vector<std::string>& only) {
+  runner::SweepConfig cfg;
+  cfg.scenario = std::string(scenario);
+  cfg.seed_base = 7;
+  cfg.runs = 2;
+  cfg.jobs = 4;
+  cfg.timeseries_dt_s = 5.0;
+  runner::ExperimentRunner exp(cfg);
+  for (runner::Variant& v : runner::stock_variants(scenario)) {
+    if (std::find(only.begin(), only.end(), v.name) == only.end()) continue;
+    exp.add_variant(v.name, std::move(v.make));
+  }
+  EXPECT_EQ(exp.variant_count(), only.size()) << scenario;
+  const runner::SweepReport report = exp.run();
+  EXPECT_EQ(report.failed_count(), 0u) << scenario;
+  const auto hex = [](const std::string& text) {
+    return crypto::sha256_hex(util::to_bytes(text));
+  };
+  return {hex(report.stats_json().dump(2)), hex(report.timeseries_jsonl())};
+}
+
+TEST(Stats, SnapshotAndTimeseriesBytesPinned) {
+  // Which names a snapshot holds, and each value, pinned where the rules
+  // differ: the VPN resilience names and the phy.chaos_* pair appear only
+  // once non-zero, vpn.endpoint.sessions_active joins at its first UDP
+  // session with a high-water mark over the sampling instants, and the
+  // detectors publish detect.<name>.alerts.
+  const StatsDigests udp =
+      stats_digests("corp-transport", {"udp-clean", "udp-chaos"});
+  EXPECT_EQ(udp.stats,
+            "02c00fe93714d3b8de3bc383cbaff70fda866fb79ddf017c7223a1e3c356c48f");
+  EXPECT_EQ(udp.timeseries,
+            "2d2d6885b6ccd94e755f77ad9f5d71b2912f63db5a31101fb313d1edbaf1f29e");
+  const StatsDigests chaos = stats_digests("corp-chaos", {"chaos-defended"});
+  EXPECT_EQ(chaos.stats,
+            "16be1eb7819c345423a9bc6090c5b9b2a90f385c3d54f52bb32fa6866439923c");
+  EXPECT_EQ(chaos.timeseries,
+            "2e9bb6ed9b219e8712683073dc04c9f0b1b812b7ea343c34c3f3c3171efc1e1f");
+  const StatsDigests wids = stats_digests("corp", {"rogue+deauth"});
+  EXPECT_EQ(wids.stats,
+            "2d4f49f30f53964f9c0d5620f1b79a9f4d628705b66317ceae92f0b816c5989c");
+  EXPECT_EQ(wids.timeseries,
+            "01e591727eee66ea129115ee6f250fd2eb6721ec8561d5ea576f802af2384df9");
+  const StatsDigests metro = stats_digests("metro", {"evil-twin"});
+  EXPECT_EQ(metro.stats,
+            "87ff2d1b51820506ca7689e5f4cdd65001c1018235dc611444a18bcc0f4335b7");
+  EXPECT_EQ(metro.timeseries,
+            "36874c1bf5e33776c9a16a36b1f92da5274cfbef441e73c6d589c167b1b475ed");
 }
 
 }  // namespace

@@ -489,5 +489,15 @@ TEST(Sweep, TransmittedFrameBytesPinned) {
             "c5bd716548dd4590ad2bc0fc973b5c0dcf7a1e0c6308c9638f79b714eee90406");
 }
 
+TEST(StockScenarios, MetroLaddersTakeNoFaults) {
+  // `sweep --faults` is rejected where a ladder would drop it silently.
+  EXPECT_TRUE(takes_faults("corp"));
+  EXPECT_TRUE(takes_faults("corp-chaos"));
+  EXPECT_TRUE(takes_faults("corp-transport"));
+  EXPECT_FALSE(takes_faults("metro"));
+  EXPECT_FALSE(takes_faults("metro-city"));
+  EXPECT_FALSE(takes_faults("no-such-ladder"));
+}
+
 }  // namespace
 }  // namespace rogue::runner

@@ -10,6 +10,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -202,15 +203,15 @@ TEST(ChromeTrace, SchemaRoundTrip) {
   clock = 200;
   t.end(span, a, obs::TraceLayer::kNet, 0xABCD);
 
-  util::Json events = util::Json::array();
-  obs::append_chrome_trace(events, t.dump(), 3, "variant seed=5");
-  util::Json root = util::Json::object();
-  root.set("traceEvents", std::move(events));
-  root.set("displayTimeUnit", "ms");
+  std::ostringstream out;
+  obs::ChromeTraceWriter writer(out);
+  writer.process(t.dump(), 3, "variant seed=5");
+  writer.finish();
 
-  // Round-trip through the serializer: the schema survives dump+parse.
-  const auto parsed = util::Json::parse(root.dump(2));
+  // The streamed document parses back with the trace-event schema.
+  const auto parsed = util::Json::parse(out.str());
   ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->find("displayTimeUnit")->as_string(), "ms");
   const util::Json* rows = parsed->find("traceEvents");
   ASSERT_NE(rows, nullptr);
   ASSERT_EQ(rows->type(), util::Json::Type::kArray);
@@ -390,8 +391,11 @@ TEST(SweepTrace, DisabledTracerAddsNothingToTheReport) {
   ASSERT_EQ(report.failed_count(), 0u);
   EXPECT_EQ(report.runs[0].trace, nullptr);
   EXPECT_TRUE(report.runs[0].timeseries.empty());
-  const util::Json trace = report.chrome_trace_json();
-  EXPECT_EQ(trace.find("traceEvents")->size(), 0u);
+  std::ostringstream trace;
+  obs::ChromeTraceWriter writer(trace);
+  report.write_chrome_trace(writer);
+  writer.finish();
+  EXPECT_EQ(trace.str(), R"({"traceEvents":[],"displayTimeUnit":"ms"})");
   EXPECT_TRUE(report.timeseries_jsonl().empty());
 }
 
